@@ -47,7 +47,7 @@ use mpas_patterns::reduction::{EdgeCellReduction, LabelMatrix};
 use mpas_swe::config::{KernelBackend, ModelConfig};
 use mpas_swe::kernels::{ops, scatter};
 use mpas_swe::testcases::TestCase;
-use mpas_swe::ShallowWaterModel;
+use mpas_swe::{ShallowWaterModel, Team};
 use std::sync::Arc;
 
 struct Opts {
@@ -255,8 +255,9 @@ fn fig5(opts: &Opts) {
     let tc = TestCase::Case5;
     let mut serial = ShallowWaterModel::new(mesh.clone(), cfg, tc, None);
     let steps = serial.steps_for_days(opts.days);
+    let weights = mpas_hybrid::hybrid_weights(&Platform::paper_node(), 2, 2);
     let mut hybrid =
-        mpas_hybrid::HybridModel::new(mesh.clone(), cfg, tc, None, 2, 2, &Platform::paper_node());
+        ShallowWaterModel::new(mesh.clone(), cfg, tc, None).with_team(Team::new(&weights), 2);
     serial.run_steps(steps);
     hybrid.run_steps(steps);
 
@@ -860,7 +861,6 @@ fn fig9() {
 /// seed-on-the-natural-ordering for the same executor — the Fig. 6-style
 /// ladder for data layout rather than kernel form.
 fn fig_layout(opts: &Opts) {
-    use mpas_hybrid::ParallelModel;
     use mpas_mesh::Reordering;
 
     let tc = TestCase::Case5;
@@ -891,7 +891,8 @@ fn fig_layout(opts: &Opts) {
                         let mut m = ShallowWaterModel::new(mesh.clone(), cfg, tc, None);
                         time_per_call(|| m.step(), iters) * 1e3
                     } else {
-                        let mut m = ParallelModel::new(mesh.clone(), cfg, tc, None, threads);
+                        let mut m = ShallowWaterModel::new(mesh.clone(), cfg, tc, None)
+                            .with_team(Team::equal(threads), threads);
                         time_per_call(|| m.step(), iters) * 1e3
                     }
                 };
@@ -924,15 +925,13 @@ fn fig_layout(opts: &Opts) {
 }
 
 /// `fig_simd` — the PR-9 kernel-tier ladder: RK-4 step time by backend ×
-/// vertical layers × mesh level, on the SFC ordering the cache-blocked
-/// sweeps tile. Flat (`k = 1`) rows compare all three tiers directly;
+/// vertical layers × mesh level, on the SFC ordering. Flat (`k = 1`) rows compare all three tiers directly;
 /// layered rows (`k = 4, 7`) time the vertically batched simd model and
 /// report the speedup over running the fused single-layer model once per
 /// layer — the `kernel.simd_speedup_serial` quantity the perf gate
 /// watches (DESIGN.md §14).
 fn fig_simd(opts: &Opts) {
     use mpas_mesh::Reordering;
-    use mpas_swe::layers::LayeredModel;
 
     let tc = TestCase::Case5;
     let levels = [opts.level.saturating_sub(1).max(3), opts.level];
@@ -964,7 +963,7 @@ fn fig_simd(opts: &Opts) {
             ]);
         }
         for k in [4usize, 7] {
-            let mut m = LayeredModel::new(mesh.clone(), cfg(KernelBackend::Simd, k), tc, None);
+            let mut m = ShallowWaterModel::new(mesh.clone(), cfg(KernelBackend::Simd, k), tc, None);
             let ms = time_per_call(|| m.step(), iters) * 1e3;
             rows.push(vec![
                 level.to_string(),

@@ -37,13 +37,13 @@
 //!
 //! ## Kernel tiers and vertical layers
 //!
-//! `--backend scalar|fused|simd` picks the kernel tier (DESIGN.md §14);
-//! `--fused on|off` remains as an alias for the two pre-simd tiers.
-//! `--layers K` (K > 1, simd + serial only) runs the vertically batched
-//! K-layer model; the same invocation also times the fused serial
-//! single-layer reference and records the `kernel.simd_speedup_serial`
-//! gauge — (fused per-step × K) / (simd K-layer per-step) — which the
-//! perf gate fails below 2.0×.
+//! `--backend scalar|fused|simd` picks the kernel tier (DESIGN.md §14).
+//! `--layers K` (K > 1, simd only, any executor, no `--ranks` or
+//! `--adaptive`) runs the vertically batched K-layer model; the same
+//! invocation also times the fused serial single-layer reference against a
+//! serial K-layer model and records the `kernel.simd_speedup_serial` gauge
+//! — (fused per-step × K) / (simd K-layer per-step) — which the perf gate
+//! fails below 2.0×.
 //!
 //! ## Scenario catalog and validation
 //!
@@ -56,6 +56,13 @@
 //! `validate.<case>.l2`/`.linf` gauges for the regression gate, and exits
 //! 2 on a violation. `--adaptive` switches the serial path to
 //! CFL-monitored adaptive time stepping.
+//!
+//! ## Exit codes
+//!
+//! 0 success; 1 a failed `--gate`; 2 a `--validate` band violation (or no
+//! committed norms for the case and level); 3 a tripped invariant
+//! monitor; 64 (`EX_USAGE`) a command line that cannot run, reported as
+//! one `usage: …` line on stderr.
 
 use mpas_bench::render::{sample_lonlat, write_ppm};
 use mpas_core::{DistributedConfig, Simulation};
@@ -102,7 +109,31 @@ struct Args {
     adaptive: bool,
 }
 
-fn parse_args() -> Args {
+/// Exit code of a command line that cannot run (`EX_USAGE`).
+const EX_USAGE: i32 = 64;
+
+const HELP: &str = "usage: swe-run [--case 1..6|williamson-N|galewsky|tracer-case5] \
+     [--alpha RAD] [--level N] \
+     [--lloyd N] [--days X] [--executor serial|threaded:N|hybrid:N:M] \
+     [--policy NAME] [--reorder none|sfc|bfs] \
+     [--backend scalar|fused|simd] [--layers K] \
+     [--validate] [--adaptive] \
+     [--ranks N] [--frames K] [--out DIR] \
+     [--trace FILE.json] [--metrics FILE.json|FILE.csv] \
+     [--flight-dump FILE.json] [--bench-json FILE.json] \
+     [--report] [--report-json FILE.json] \
+     [--gate BASELINE.json] [--gate-write BASELINE.json] \
+     [--gate-strict] [--gate-filter PREFIX[,...]] \
+     [--history-dir DIR] \
+     [--inject-mass-drift X] [--inject-courant X]";
+
+/// Parse `v`, the value of `flag`.
+fn num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag} takes a number, got {v:?}"))
+}
+
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         case: "5".into(),
         alpha: 0.0,
@@ -135,85 +166,95 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| panic!("missing value for {a}"));
+        let mut val = || it.next().ok_or_else(|| format!("{a} needs a value"));
+        let path = |v: String| Some(PathBuf::from(v));
         match a.as_str() {
-            "--case" => args.case = val(),
-            "--alpha" => args.alpha = val().parse().expect("alpha"),
-            "--level" => args.level = val().parse().expect("level"),
-            "--lloyd" => args.lloyd = val().parse().expect("lloyd"),
-            "--days" => args.days = val().parse().expect("days"),
-            "--executor" => args.executor = val(),
-            "--policy" => args.policy = val(),
+            "--case" => args.case = val()?,
+            "--alpha" => args.alpha = num(&a, &val()?)?,
+            "--level" => args.level = num(&a, &val()?)?,
+            "--lloyd" => args.lloyd = num(&a, &val()?)?,
+            "--days" => args.days = num(&a, &val()?)?,
+            "--executor" => args.executor = val()?,
+            "--policy" => args.policy = val()?,
             "--reorder" => {
-                let v = val();
+                let v = val()?;
                 args.reorder = Reordering::parse(&v)
-                    .unwrap_or_else(|| panic!("unknown reorder {v} (none, sfc or bfs)"));
+                    .ok_or_else(|| format!("unknown reorder {v} (none, sfc or bfs)"))?;
             }
             "--backend" => {
-                let v = val();
+                let v = val()?;
                 args.backend = KernelBackend::parse(&v)
-                    .unwrap_or_else(|| panic!("unknown backend {v} (scalar, fused or simd)"));
+                    .ok_or_else(|| format!("unknown backend {v} (scalar, fused or simd)"))?;
             }
-            "--layers" => args.layers = val().parse().expect("layers"),
-            // Back-compat alias for the pre-simd tier switch.
-            "--fused" => {
-                let v = val();
-                args.backend = match v.as_str() {
-                    "on" => KernelBackend::Fused,
-                    "off" => KernelBackend::Scalar,
-                    other => panic!("unknown fused {other} (on or off)"),
-                };
-            }
-            "--ranks" => args.ranks = val().parse().expect("ranks"),
-            "--frames" => args.frames = val().parse().expect("frames"),
-            "--out" => args.out = PathBuf::from(val()),
-            "--trace" => args.trace = Some(PathBuf::from(val())),
-            "--metrics" => args.metrics = Some(PathBuf::from(val())),
-            "--flight-dump" => args.flight_dump = Some(PathBuf::from(val())),
-            "--bench-json" => args.bench_json = Some(PathBuf::from(val())),
+            "--layers" => args.layers = num(&a, &val()?)?,
+            "--ranks" => args.ranks = num(&a, &val()?)?,
+            "--frames" => args.frames = num(&a, &val()?)?,
+            "--out" => args.out = PathBuf::from(val()?),
+            "--trace" => args.trace = path(val()?),
+            "--metrics" => args.metrics = path(val()?),
+            "--flight-dump" => args.flight_dump = path(val()?),
+            "--bench-json" => args.bench_json = path(val()?),
             "--report" => args.report = true,
-            "--report-json" => args.report_json = Some(PathBuf::from(val())),
-            "--gate" => args.gate = Some(PathBuf::from(val())),
-            "--gate-write" => args.gate_write = Some(PathBuf::from(val())),
-            "--history-dir" => args.history_dir = Some(PathBuf::from(val())),
+            "--report-json" => args.report_json = path(val()?),
+            "--gate" => args.gate = path(val()?),
+            "--gate-write" => args.gate_write = path(val()?),
+            "--history-dir" => args.history_dir = path(val()?),
             "--gate-strict" => args.gate_strict = true,
             "--gate-filter" => {
                 args.gate_filter
-                    .extend(val().split(',').map(str::to_string));
+                    .extend(val()?.split(',').map(str::to_string));
             }
-            "--inject-mass-drift" => {
-                args.inject_mass_drift = val().parse().expect("inject-mass-drift")
-            }
-            "--inject-courant" => args.inject_courant = val().parse().expect("inject-courant"),
+            "--inject-mass-drift" => args.inject_mass_drift = num(&a, &val()?)?,
+            "--inject-courant" => args.inject_courant = num(&a, &val()?)?,
             "--validate" => args.validate = true,
             "--adaptive" => args.adaptive = true,
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: swe-run [--case 1..6|williamson-N|galewsky|tracer-case5] \
-                     [--alpha RAD] [--level N] \
-                     [--lloyd N] [--days X] [--executor serial|threaded:N|hybrid:N:M] \
-                     [--policy NAME] [--reorder none|sfc|bfs] \
-                     [--backend scalar|fused|simd] [--layers K] [--fused on|off] \
-                     [--validate] [--adaptive] \
-                     [--ranks N] [--frames K] [--out DIR] \
-                     [--trace FILE.json] [--metrics FILE.json|FILE.csv] \
-                     [--flight-dump FILE.json] [--bench-json FILE.json] \
-                     [--report] [--report-json FILE.json] \
-                     [--gate BASELINE.json] [--gate-write BASELINE.json] \
-                     [--gate-strict] [--gate-filter PREFIX[,...]] \
-                     [--history-dir DIR] \
-                     [--inject-mass-drift X] [--inject-courant X]\n\
-                     cases: {}\n\
-                     policies: {}",
+                    "{HELP}\ncases: {}\npolicies: {}",
                     mpas_swe::validation::catalog_names().join(", "),
                     mpas_sched::registered_names().join(", ")
                 );
                 std::process::exit(0);
             }
-            other => panic!("unknown flag {other}"),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    args
+    Ok(args)
+}
+
+/// The scenario and the `--gate` baseline of a parsed command line, or why
+/// the command line cannot run.
+fn check_args(args: &Args) -> Result<(TestCase, Option<Baseline>), String> {
+    let tc = mpas_core::parse_case(&args.case, args.alpha)?;
+    mpas_core::parse_executor(&args.executor)?;
+    mpas_sched::resolve(&args.policy)
+        .map_err(|e| format!("invalid sched_policy {:?}: {e}", args.policy))?;
+    if args.adaptive && args.ranks >= 2 {
+        return Err("--adaptive is a serial-path feature; drop --ranks".into());
+    }
+    if args.layers == 0 {
+        return Err("--layers must be >= 1".into());
+    }
+    if args.layers > 1 {
+        if args.backend != KernelBackend::Simd {
+            return Err(format!("--layers {} requires --backend simd", args.layers));
+        }
+        if args.adaptive || args.ranks >= 2 {
+            return Err("--layers > 1 does not combine with --adaptive or --ranks".into());
+        }
+    }
+    // Read the baseline before the run, so a bad path fails fast.
+    let baseline = match &args.gate {
+        Some(path) => {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("read baseline {}: {e}", path.display()))?;
+            let baseline = Baseline::parse(&text)
+                .map_err(|e| format!("parse baseline {}: {e}", path.display()))?;
+            Some(baseline)
+        }
+        None => None,
+    };
+    Ok((tc, baseline))
 }
 
 /// What either execution path hands back to the shared analysis tail.
@@ -248,7 +289,7 @@ fn run_single(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
         .mesh_level(args.level)
         .lloyd_iters(args.lloyd)
         .test_case(tc)
-        .executor(mpas_core::parse_executor(&args.executor).unwrap_or_else(|e| panic!("{e}")))
+        .executor(mpas_core::parse_executor(&args.executor).expect("checked in main"))
         .config(config)
         .reorder(args.reorder)
         .sched_policy(&args.policy)
@@ -336,7 +377,7 @@ fn run_single(args: &Args, tc: TestCase, rec: &Recorder) -> RunStats {
             ..config
         };
         let mut reference = ShallowWaterModel::new(sim.mesh.clone(), fused_cfg, tc, None);
-        let mut layered = mpas_swe::layers::LayeredModel::new(sim.mesh.clone(), config, tc, None);
+        let mut layered = ShallowWaterModel::new(sim.mesh.clone(), config, tc, None);
         reference.run_steps(1); // warm both instruction/data paths
         layered.run_steps(1);
         let batch = total_steps.clamp(1, 4);
@@ -763,25 +804,14 @@ fn report_json(
 }
 
 fn main() {
-    let mut args = parse_args();
-    let tc = mpas_core::parse_case(&args.case, args.alpha).unwrap_or_else(|e| panic!("{e}"));
-    if args.adaptive && args.ranks >= 2 {
-        panic!("--adaptive is a serial-path feature; drop --ranks");
-    }
-    if args.layers == 0 {
-        panic!("--layers must be >= 1");
-    }
-    if args.layers > 1 {
-        if args.backend != KernelBackend::Simd {
-            panic!("--layers {} requires --backend simd", args.layers);
+    let (mut args, (tc, baseline)) = match parse_args().and_then(|a| check_args(&a).map(|c| (a, c)))
+    {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("usage: {e} (swe-run --help lists every flag)");
+            std::process::exit(EX_USAGE);
         }
-        if args.adaptive || args.ranks >= 2 {
-            panic!("--layers > 1 runs on the single-address-space serial path");
-        }
-        if args.executor != "serial" {
-            panic!("--layers > 1 requires --executor serial");
-        }
-    }
+    };
     if args.validate {
         // Validation runs at the committed horizon, not the --days value:
         // the committed norms are only meaningful at their (level, days).
@@ -1072,11 +1102,7 @@ fn main() {
     // Exit-code precedence: tripped invariant (3) > validation band (2) >
     // statistical gate (1).
     let mut exit_code = 0;
-    if let Some(path) = &args.gate {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("read baseline {}: {e}", path.display()));
-        let mut baseline = Baseline::parse(&text)
-            .unwrap_or_else(|e| panic!("parse baseline {}: {e}", path.display()));
+    if let Some(mut baseline) = baseline {
         // `--gate-filter` restricts the committed baseline to the metric
         // families this invocation actually produces (a missing watched
         // metric is a fail), so one baseline file can serve CI jobs that

@@ -1,26 +1,27 @@
 //! Multi-rank distributed execution of the shallow-water model.
 //!
-//! Each rank owns a partition of the mesh (RCB, three halo layers), runs
-//! the full RK-4 kernel sequence on its [`mpas_mesh::LocalMesh`], and
-//! exchanges the prognostic halo once per substep — the communication
-//! structure of the paper's Fig. 2/Fig. 4 flowcharts. Because every owned
-//! output is computed with exactly the serial loop structure, the gathered
-//! global result is **bit-for-bit identical** to the single-rank run
-//! (asserted by the integration tests), which is a stronger property than
-//! the paper's "consistent within machine precision".
+//! Each rank owns a partition of the mesh (RCB, three halo layers), steps
+//! the one model ([`mpas_swe::ShallowWaterModel`], on a one-part team) on
+//! its [`mpas_mesh::LocalMesh`], and exchanges the prognostic halo once per
+//! substep through the model's halo hook — the communication structure of
+//! the paper's Fig. 2/Fig. 4 flowcharts. Updates run over the whole local
+//! range: every halo cell and halo edge is a receive target, so the
+//! exchange overwrites whatever the rank computed there. Because every
+//! owned output is computed with exactly the serial loop structure, the
+//! gathered global result is **bit-for-bit identical** to the single-rank
+//! run (asserted by the integration tests), which is a stronger property
+//! than the paper's "consistent within machine precision".
 
-use mpas_mesh::{extract_local_mesh, Mesh, MeshPartition};
+use mpas_mesh::{extract_local_mesh, LocalMesh, Mesh, MeshPartition, RankLocal};
 use mpas_msg::comm::{run_ranks, RankCtx};
 use mpas_msg::halo::{FieldKind, HaloExchanger};
-use mpas_swe::coeffs::KernelCoeffs;
 use mpas_swe::config::ModelConfig;
-use mpas_swe::kernels;
-use mpas_swe::reconstruct::ReconstructCoeffs;
-use mpas_swe::rk4::{RK_SUBSTEP, RK_WEIGHTS};
-use mpas_swe::state::{Diagnostics, Reconstruction, State, Tendencies};
+use mpas_swe::state::State;
 use mpas_swe::testcases::TestCase;
+use mpas_swe::ShallowWaterModel;
 use mpas_telemetry::analysis::STEP_SPAN;
 use mpas_telemetry::Recorder;
+use std::sync::Arc;
 
 /// Parameters of a distributed run.
 #[derive(Debug, Clone, Copy)]
@@ -30,7 +31,8 @@ pub struct DistributedConfig {
     /// Halo depth; 3 is the minimum that keeps owned outputs exact across
     /// the TRiSK stencil chain.
     pub halo_layers: usize,
-    /// Numerical options, shared by every rank.
+    /// Numerical options, shared by every rank (single-layer only: the
+    /// halo carries one value per entity).
     pub model: ModelConfig,
     /// Initial condition / forcing scenario.
     pub test_case: TestCase,
@@ -49,22 +51,44 @@ pub fn run_distributed(mesh: &Mesh, cfg: DistributedConfig) -> State {
 /// [`run_distributed`] with telemetry: every rank's communicator and halo
 /// exchanger report into `rec` (`msg.comm.*` / `msg.halo.*`), which is
 /// shared across ranks — counters aggregate over the whole job.
+///
+/// # Panics
+/// With fewer than 3 halo layers, or more than one vertical layer.
 pub fn run_distributed_recorded(mesh: &Mesh, cfg: DistributedConfig, rec: &Recorder) -> State {
     assert!(
         cfg.halo_layers >= 3,
         "TRiSK stencils need at least 3 halo layers"
     );
+    assert_eq!(
+        cfg.model.n_layers, 1,
+        "distributed runs carry one layer: the halo holds one value per entity"
+    );
     let part = MeshPartition::build(mesh, cfg.n_ranks, cfg.halo_layers);
+    // Per rank: its local mesh (shared with its model) and the global ids
+    // of its owned cells and edges, for the gather.
     let locals: Vec<_> = part
         .ranks
         .into_iter()
-        .map(|rl| (extract_local_mesh(mesh, &rl), rl))
+        .map(|rl| {
+            let LocalMesh {
+                mesh: local,
+                n_owned_cells,
+                n_owned_edges,
+                mut cell_l2g,
+                mut edge_l2g,
+                ..
+            } = extract_local_mesh(mesh, &rl);
+            cell_l2g.truncate(n_owned_cells);
+            edge_l2g.truncate(n_owned_edges);
+            (Arc::new(local), cell_l2g, edge_l2g, rl)
+        })
         .collect();
 
     let results = run_ranks(cfg.n_ranks, |mut ctx| {
         ctx.set_recorder(rec.clone());
-        let (lm, rl) = &locals[ctx.rank];
-        rank_main(&mut ctx, lm, rl.clone(), &cfg, rec)
+        let (local, cells, edges, rl) = &locals[ctx.rank];
+        let owned = (cells.len(), edges.len());
+        rank_main(&mut ctx, local.clone(), owned, rl.clone(), &cfg, rec)
     });
 
     // Assemble the global state from each rank's owned entries.
@@ -72,169 +96,74 @@ pub fn run_distributed_recorded(mesh: &Mesh, cfg: DistributedConfig, rec: &Recor
     let mut u = vec![0.0; mesh.n_edges()];
     let mut tracers = vec![vec![0.0; mesh.n_cells()]; cfg.model.n_tracers];
     for (rank, (lh, lu, ltr)) in results.into_iter().enumerate() {
-        let lm = &locals[rank].0;
-        for (l, &g) in lm.cell_l2g[..lm.n_owned_cells].iter().enumerate() {
+        let (_, cells, edges, _) = &locals[rank];
+        for (l, &g) in cells.iter().enumerate() {
             h[g as usize] = lh[l];
             for (k, lt) in ltr.iter().enumerate() {
                 tracers[k][g as usize] = lt[l];
             }
         }
-        for (l, &g) in lm.edge_l2g[..lm.n_owned_edges].iter().enumerate() {
+        for (l, &g) in edges.iter().enumerate() {
             u[g as usize] = lu[l];
         }
     }
     State { h, u, tracers }
 }
 
-/// One rank's full time loop. Returns its owned (h, u, tracer) slices.
+/// One rank's full time loop on its local mesh, whose first `owned.0`
+/// cells and `owned.1` edges it owns. Returns its owned (h, u, tracer)
+/// slices.
 fn rank_main(
     ctx: &mut RankCtx,
-    lm: &mpas_mesh::LocalMesh,
-    rl: mpas_mesh::RankLocal,
+    mesh: Arc<Mesh>,
+    owned: (usize, usize),
+    rl: RankLocal,
     cfg: &DistributedConfig,
     rec: &Recorder,
 ) -> (Vec<f64>, Vec<f64>, Vec<Vec<f64>>) {
-    let mesh = &lm.mesh;
-    let mcfg = &cfg.model;
-    let tc = cfg.test_case;
-    let dt = cfg.dt;
-
-    let mut state = tc.initial_state_with_tracers(mesh, mcfg.n_tracers);
-    let b = tc.topography(mesh);
-    let f_vertex = tc.coriolis_vertex(mesh);
-    let coeffs = ReconstructCoeffs::build(mesh);
-    let kc = KernelCoeffs::build(mesh, mcfg);
-    let backend = mcfg.kernel_backend;
-    // Case-4 forcing, computed from the rank's own local mesh: the
-    // background state is sampled analytically (exact on halos too) and
-    // three halo layers make every owned tendency entry equal the serial
-    // one, so the owned forcing entries are bitwise the serial forcing.
-    let forcing = tc.needs_forcing().then(|| {
-        mpas_swe::model::compute_equilibrium_forcing(mesh, mcfg, &kc, &tc, &b, &f_vertex, dt)
-    });
-    // Same branch the single-address-space executors take: per-entity the
-    // local coefficients equal the global ones, so owned outputs stay
-    // bit-for-bit identical to the serial run on either path.
-    let solve_diag = |h: &[f64], u: &[f64], diag: &mut Diagnostics| {
-        kernels::compute_solve_diagnostics_backend(
-            backend, mesh, mcfg, &kc, h, u, &f_vertex, dt, diag,
-        );
-    };
-    let mut diag = Diagnostics::zeros(mesh);
-    let mut tend = Tendencies::zeros_with_tracers(mesh, mcfg.n_tracers);
-    let mut provis = State::zeros_with_tracers(mesh, mcfg.n_tracers);
-    let mut acc = State::zeros_with_tracers(mesh, mcfg.n_tracers);
-    let mut recon = Reconstruction::zeros(mesh);
+    // One part, no telemetry: the rank trace keeps only the rank's own
+    // step spans and the halo exchanger's waits and copies. Case-4
+    // forcing comes from the rank's own local mesh: the background state
+    // is sampled analytically (exact on halos too) and three halo layers
+    // make every owned tendency entry equal the serial one.
+    let mut model = ShallowWaterModel::new(mesh, cfg.model, cfg.test_case, Some(cfg.dt));
     let mut hx = HaloExchanger::new(rl).with_recorder(rec.clone());
-
-    let n_owned_cells = lm.n_owned_cells;
-    let n_owned_edges = lm.n_owned_edges;
-
-    solve_diag(&state.h, &state.u, &mut diag);
+    let ncl = hx.local().n_cells();
 
     for step in 0..cfg.n_steps {
         // Rank-tagged per-step window: the unit the trace analyzer
         // decomposes into compute/copy/wait/barrier blame. The begin/end
         // events give downstream tools the step index without parsing
         // span order.
+        let rank = ctx.rank;
         let _step_span = rec.span_timed(ctx.track(), STEP_SPAN, "core.rank.step_seconds");
-        if rec.is_enabled() {
-            rec.event(
-                "core.step",
-                &[
-                    ("rank", ctx.rank.to_string()),
-                    ("step", step.to_string()),
-                    ("phase", "begin".to_string()),
-                ],
-            );
-        }
-        acc.copy_from(&state);
-        provis.copy_from(&state);
-        for stage in 0..4 {
-            kernels::compute_tend_backend(
-                backend, mesh, mcfg, &kc, &provis.h, &provis.u, &b, &diag, &mut tend,
-            );
-            if !provis.tracers.is_empty() {
-                kernels::compute_tend_tracers_backend(
-                    backend,
-                    mesh,
-                    &kc,
-                    &provis.h,
-                    &provis.u,
-                    &diag,
-                    &provis.tracers,
-                    &mut tend,
+        let event = |phase: &str| {
+            if rec.is_enabled() {
+                rec.event(
+                    "core.step",
+                    &[
+                        ("rank", rank.to_string()),
+                        ("step", step.to_string()),
+                        ("phase", phase.to_string()),
+                    ],
                 );
             }
-            if let Some(f) = &forcing {
-                kernels::apply_forcing(mesh, f, &mut tend);
+        };
+        event("begin");
+        model.step_with(|s| {
+            hx.exchange_state(ctx, &mut s.h[..ncl], &mut s.u);
+            for tr in s.tracers.iter_mut() {
+                hx.exchange(ctx, FieldKind::Cell, &mut tr[..ncl]);
             }
-            kernels::enforce_boundary_edge(mesh, &mut tend);
-            if stage < 3 {
-                // Owned region only; halos come from the owners.
-                update_owned(
-                    &state,
-                    &tend,
-                    RK_SUBSTEP[stage] * dt,
-                    &mut provis,
-                    n_owned_cells,
-                    n_owned_edges,
-                );
-                let ncl = hx.local().n_cells();
-                hx.exchange_state(ctx, &mut provis.h[..ncl], &mut provis.u);
-                for tr in provis.tracers.iter_mut() {
-                    hx.exchange(ctx, FieldKind::Cell, &mut tr[..ncl]);
-                }
-                solve_diag(&provis.h, &provis.u, &mut diag);
-                accumulate_owned(
-                    &tend,
-                    RK_WEIGHTS[stage] * dt,
-                    &mut acc,
-                    n_owned_cells,
-                    n_owned_edges,
-                );
-            } else {
-                accumulate_owned(
-                    &tend,
-                    RK_WEIGHTS[stage] * dt,
-                    &mut acc,
-                    n_owned_cells,
-                    n_owned_edges,
-                );
-                state.h[..n_owned_cells].copy_from_slice(&acc.h[..n_owned_cells]);
-                state.u[..n_owned_edges].copy_from_slice(&acc.u[..n_owned_edges]);
-                for (tr, atr) in state.tracers.iter_mut().zip(&acc.tracers) {
-                    tr[..n_owned_cells].copy_from_slice(&atr[..n_owned_cells]);
-                }
-                let ncl = hx.local().n_cells();
-                hx.exchange_state(ctx, &mut state.h[..ncl], &mut state.u);
-                for tr in state.tracers.iter_mut() {
-                    hx.exchange(ctx, FieldKind::Cell, &mut tr[..ncl]);
-                }
-                solve_diag(&state.h, &state.u, &mut diag);
-                kernels::mpas_reconstruct(mesh, &coeffs, &state.u, &mut recon);
-            }
-        }
-        if rec.is_enabled() {
-            rec.event(
-                "core.step",
-                &[
-                    ("rank", ctx.rank.to_string()),
-                    ("step", step.to_string()),
-                    ("phase", "end".to_string()),
-                ],
-            );
-        }
+        });
+        event("end");
     }
 
+    let (state, (nc, ne)) = (&model.state, owned);
     (
-        state.h[..n_owned_cells].to_vec(),
-        state.u[..n_owned_edges].to_vec(),
-        state
-            .tracers
-            .iter()
-            .map(|tr| tr[..n_owned_cells].to_vec())
-            .collect(),
+        state.h[..nc].to_vec(),
+        state.u[..ne].to_vec(),
+        state.tracers.iter().map(|tr| tr[..nc].to_vec()).collect(),
     )
 }
 
@@ -271,34 +200,6 @@ pub fn halo_probe(mesh: &Mesh, n_ranks: usize, rec: &Recorder) -> u64 {
             * mpas_hybrid::sim::halo_bytes_per_substep(mesh.n_cells() as f64 / n_ranks as f64),
     );
     exact
-}
-
-fn update_owned(base: &State, tend: &Tendencies, coef: f64, out: &mut State, nc: usize, ne: usize) {
-    for i in 0..nc {
-        out.h[i] = base.h[i] + coef * tend.tend_h[i];
-    }
-    for e in 0..ne {
-        out.u[e] = base.u[e] + coef * tend.tend_u[e];
-    }
-    for (k, tr) in out.tracers.iter_mut().enumerate() {
-        for (i, t) in tr.iter_mut().enumerate().take(nc) {
-            *t = base.tracers[k][i] + coef * tend.tend_tracers[k][i];
-        }
-    }
-}
-
-fn accumulate_owned(tend: &Tendencies, weight: f64, acc: &mut State, nc: usize, ne: usize) {
-    for i in 0..nc {
-        acc.h[i] += weight * tend.tend_h[i];
-    }
-    for e in 0..ne {
-        acc.u[e] += weight * tend.tend_u[e];
-    }
-    for (k, tr) in acc.tracers.iter_mut().enumerate() {
-        for (i, t) in tr.iter_mut().enumerate().take(nc) {
-            *t += weight * tend.tend_tracers[k][i];
-        }
-    }
 }
 
 #[cfg(test)]

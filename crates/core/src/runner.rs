@@ -32,8 +32,8 @@ pub struct JobSpec {
     pub policy: String,
     /// Kernel tier to run (scalar, fused, or simd).
     pub backend: KernelBackend,
-    /// Vertical layers to carry (k > 1 requires the simd backend and the
-    /// serial executor; see [`crate::SimulationBuilder`]).
+    /// Vertical layers to carry (k > 1 requires the simd backend; any
+    /// executor; see [`crate::SimulationBuilder`]).
     pub layers: usize,
     /// Explicit dt in seconds (`None` picks the stable default).
     pub dt: Option<f64>,
@@ -138,9 +138,8 @@ impl std::fmt::Display for JobError {
 /// across executors by construction — the repo's executors agree bitwise —
 /// so equal hashes across tenants is the cheap proxy for "identical
 /// results". Built on the shared [`Fnv1a`] digest, the same primitive
-/// the server's cache keys and the layered
-/// [`mpas_swe::LayeredState::state_hash`] (which folds in all `k` layers)
-/// use.
+/// the server's cache keys use. On a `k`-layer state it folds in all `k`
+/// lanes of every field.
 pub fn state_hash(state: &State) -> u64 {
     let mut d = Fnv1a::new();
     d.write_f64_slice(&state.h);

@@ -1,6 +1,6 @@
 //! The user-facing `Simulation` facade.
 
-use mpas_hybrid::{HybridModel, ParallelModel, Platform, Schedule};
+use mpas_hybrid::{Platform, Schedule};
 use mpas_mesh::{Mesh, Reordering};
 use mpas_patterns::dataflow::{DataflowGraph, MeshCounts, RkPhase};
 use mpas_sched::SchedulerPolicy;
@@ -9,7 +9,7 @@ use mpas_swe::config::ModelConfig;
 use mpas_swe::norms::ErrorNorms;
 use mpas_swe::state::State;
 use mpas_swe::testcases::TestCase;
-use mpas_swe::{KernelBackend, LayeredModel, ShallowWaterModel};
+use mpas_swe::{ShallowWaterModel, Team};
 use mpas_telemetry::Recorder;
 use std::sync::Arc;
 
@@ -151,93 +151,32 @@ impl SimulationBuilder {
             Some(m) => crate::setup::apply_reorder(m, self.reorder),
             None => crate::setup::build_mesh(self.mesh_level, self.lloyd_iters, self.reorder),
         };
-        if self.config.n_layers > 1 {
-            assert_eq!(
-                self.config.kernel_backend,
-                KernelBackend::Simd,
-                "n_layers > 1 requires the simd kernel backend"
-            );
-            assert_eq!(
-                self.executor,
-                Executor::Serial,
-                "n_layers > 1 requires the serial executor"
-            );
-            let engine = Engine::Layered(
-                LayeredModel::new_shared(
-                    mesh.clone(),
-                    self.config,
-                    self.test_case,
-                    self.dt,
-                    self.kernel_coeffs,
-                )
-                .with_recorder(self.recorder.clone()),
-            );
-            let policy = mpas_sched::resolve(&self.sched_policy)
-                .unwrap_or_else(|e| panic!("invalid sched_policy {:?}: {e}", self.sched_policy));
-            let mut sim = Simulation {
-                mesh,
-                engine,
-                test_case: self.test_case,
-                config: self.config,
-                initial_mass: 0.0,
-                initial_tracer_mass: Vec::new(),
-                policy,
-                recorder: self.recorder,
-            };
-            sim.initial_mass = sim.total_mass();
-            sim.initial_tracer_mass = (0..sim.config.n_tracers)
-                .map(|k| sim.total_tracer(k))
-                .collect();
-            return sim;
-        }
-        let engine = match self.executor {
-            Executor::Serial => Engine::Serial(
-                ShallowWaterModel::new_shared(
-                    mesh.clone(),
-                    self.config,
-                    self.test_case,
-                    self.dt,
-                    self.kernel_coeffs,
-                )
-                .with_recorder(self.recorder.clone()),
-            ),
-            Executor::Threaded { threads } => Engine::Threaded(
-                ParallelModel::new_shared(
-                    mesh.clone(),
-                    self.config,
-                    self.test_case,
-                    self.dt,
-                    threads,
-                    self.kernel_coeffs,
-                )
-                .with_recorder(self.recorder.clone()),
-            ),
+        let (team, host_parts) = match self.executor {
+            Executor::Serial => (Team::equal(1), 1),
+            Executor::Threaded { threads } => (Team::equal(threads), threads.max(1)),
             Executor::Hybrid {
                 cpu_threads,
                 acc_threads,
-            } => Engine::Hybrid(
-                HybridModel::new_shared(
-                    mesh.clone(),
-                    self.config,
-                    self.test_case,
-                    self.dt,
-                    cpu_threads,
-                    acc_threads,
-                    &Platform::paper_node(),
-                    self.kernel_coeffs,
-                )
-                .with_recorder(self.recorder.clone()),
-            ),
+            } => {
+                let weights =
+                    mpas_hybrid::hybrid_weights(&Platform::paper_node(), cpu_threads, acc_threads);
+                (Team::new(&weights), cpu_threads.max(1))
+            }
         };
+        let model = ShallowWaterModel::new_shared(
+            mesh.clone(),
+            self.config,
+            self.test_case,
+            self.dt,
+            self.kernel_coeffs,
+        )
+        .with_team(team, host_parts)
+        .with_recorder(self.recorder.clone());
         let policy = mpas_sched::resolve(&self.sched_policy)
             .unwrap_or_else(|e| panic!("invalid sched_policy {:?}: {e}", self.sched_policy));
-        let initial_mass = match &engine {
-            Engine::Serial(m) => Some(m.total_mass()),
-            _ => None,
-        };
         let mut sim = Simulation {
             mesh,
-            engine,
+            model,
             test_case: self.test_case,
             config: self.config,
             initial_mass: 0.0,
@@ -245,7 +184,7 @@ impl SimulationBuilder {
             policy,
             recorder: self.recorder,
         };
-        sim.initial_mass = initial_mass.unwrap_or_else(|| sim.total_mass());
+        sim.initial_mass = sim.total_mass();
         sim.initial_tracer_mass = (0..sim.config.n_tracers)
             .map(|k| sim.total_tracer(k))
             .collect();
@@ -253,21 +192,11 @@ impl SimulationBuilder {
     }
 }
 
-// One engine lives per simulation, so the variant-size spread is noise.
-#[allow(clippy::large_enum_variant)]
-enum Engine {
-    Serial(ShallowWaterModel),
-    Threaded(ParallelModel),
-    Hybrid(HybridModel),
-    /// k-layer serial simd engine; facade views read its cached layer 0.
-    Layered(LayeredModel),
-}
-
 /// A configured shallow-water simulation.
 pub struct Simulation {
     /// The mesh being integrated.
     pub mesh: Arc<Mesh>,
-    engine: Engine,
+    model: ShallowWaterModel,
     /// The configured scenario.
     pub test_case: TestCase,
     /// The numerical options the engine was built with.
@@ -289,14 +218,14 @@ impl Simulation {
     /// plus `core.sim.mass_drift` / `core.sim.h_err_l2` gauges.
     pub fn run_steps(&mut self, n: usize) {
         if !self.recorder.is_enabled() {
-            return self.step_engine(n);
+            return self.model.run_steps(n);
         }
         for _ in 0..n {
             {
                 let _span =
                     self.recorder
                         .span_timed("measured", "core.step", "core.sim.step_seconds");
-                self.step_engine(1);
+                self.model.step();
             }
             self.recorder.add("core.sim.steps", 1);
             self.recorder
@@ -311,15 +240,6 @@ impl Simulation {
         }
     }
 
-    fn step_engine(&mut self, n: usize) {
-        match &mut self.engine {
-            Engine::Serial(m) => m.run_steps(n),
-            Engine::Threaded(m) => m.run_steps(n),
-            Engine::Hybrid(m) => m.run_steps(n),
-            Engine::Layered(m) => m.run_steps(n),
-        }
-    }
-
     /// The telemetry sink configured at build time.
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
@@ -328,70 +248,36 @@ impl Simulation {
     /// The prognostic state (layer 0 for layered runs — the validated
     /// lane; use [`Simulation::state_digest`] to cover every layer).
     pub fn state(&self) -> &State {
-        match &self.engine {
-            Engine::Serial(m) => &m.state,
-            Engine::Threaded(m) => &m.state,
-            Engine::Hybrid(m) => &m.state,
-            Engine::Layered(m) => m.layer0(),
-        }
+        self.model.layer0()
     }
 
-    /// FNV-1a digest of the full prognostic state: all `k` layers of every
-    /// field for layered runs, the flat fields otherwise. Single-layer
-    /// layered digests equal [`crate::runner::state_hash`] of the flat
-    /// state bit for bit (k = 1 lane-interleaving is the identity).
+    /// FNV-1a digest of the full prognostic state: all `k` lanes of every
+    /// field ([`crate::runner::state_hash`] of the model's state, which for
+    /// a single-layer run is [`Simulation::state`]).
     pub fn state_digest(&self) -> u64 {
-        match &self.engine {
-            Engine::Layered(m) => m.state_hash(),
-            _ => crate::runner::state_hash(self.state()),
-        }
+        crate::runner::state_hash(&self.model.state)
     }
 
-    /// Number of vertical layers carried (1 for the flat engines).
+    /// Number of vertical layers carried.
     pub fn n_layers(&self) -> usize {
-        match &self.engine {
-            Engine::Layered(m) => m.n_layers(),
-            _ => 1,
-        }
+        self.model.n_layers()
     }
 
     /// Time step in seconds.
     pub fn dt(&self) -> f64 {
-        match &self.engine {
-            Engine::Serial(m) => m.dt,
-            Engine::Threaded(m) => m.dt,
-            Engine::Hybrid(m) => m.dt,
-            Engine::Layered(m) => m.dt,
-        }
+        self.model.dt
     }
 
     /// Model time in seconds.
     pub fn time(&self) -> f64 {
-        match &self.engine {
-            Engine::Serial(m) => m.time,
-            Engine::Threaded(m) => m.time,
-            Engine::Hybrid(m) => m.time,
-            Engine::Layered(m) => m.time,
-        }
+        self.model.time
     }
 
-    /// Maximum Courant number over edges at the current state, using the
-    /// external gravity-wave speed `|u| + sqrt(g h_edge)` — the stability
-    /// quantity the CFL invariant monitors.
+    /// Maximum Courant number over edges at the current state (layer 0),
+    /// using the external gravity-wave speed `|u| + sqrt(g h_edge)` — the
+    /// stability quantity the CFL invariant monitors.
     pub fn max_courant(&self) -> f64 {
-        let diag = match &self.engine {
-            Engine::Serial(m) => &m.diag,
-            Engine::Threaded(m) => &m.diag,
-            Engine::Hybrid(m) => &m.diag,
-            Engine::Layered(m) => m.layer0_diag(),
-        };
-        let (u, g, dt) = (&self.state().u, self.config.gravity, self.dt());
-        (0..self.mesh.n_edges())
-            .map(|e| {
-                let c = u[e].abs() + (g * diag.h_edge[e].max(0.0)).sqrt();
-                c * dt / self.mesh.dc_edge[e]
-            })
-            .fold(0.0f64, f64::max)
+        self.model.max_courant()
     }
 
     /// Total mass of tracer `k` (`∫ h·q dA`, conserved to rounding).

@@ -190,3 +190,77 @@ fn layered_facade_layer0_matches_flat_runs_bitwise() {
     // single-layer digest (deeper layers carry perturbed thickness).
     assert_ne!(sim.state_digest(), flat);
 }
+
+/// The k-layer simd tier on every executor: each team split reproduces the
+/// serial run of the same layer count on every lane, bit for bit.
+#[test]
+fn simd_layers_are_bitwise_identical_across_executors() {
+    let mesh = build_mesh(3, 0, Reordering::None);
+    let dt = ModelConfig::suggested_dt(&mesh);
+    let tc = mpas_swe::TestCase::Case5;
+    let digest = |k: usize, executor: Executor| {
+        let mut sim = Simulation::builder()
+            .mesh(mesh.clone())
+            .test_case(tc)
+            .config(ModelConfig {
+                kernel_backend: KernelBackend::Simd,
+                n_layers: k,
+                n_tracers: 1,
+                ..Default::default()
+            })
+            .executor(executor)
+            .dt(dt)
+            .build();
+        assert_eq!(sim.n_layers(), k);
+        sim.run_steps(STEPS);
+        sim.state_digest()
+    };
+    for k in [1, 4] {
+        let serial = digest(k, Executor::Serial);
+        for (name, executor) in [
+            ("threaded:2", Executor::Threaded { threads: 2 }),
+            (
+                "hybrid:1:1",
+                Executor::Hybrid {
+                    cpu_threads: 1,
+                    acc_threads: 1,
+                },
+            ),
+        ] {
+            assert_eq!(serial, digest(k, executor), "simd k={k}: {name} differs");
+        }
+    }
+}
+
+/// Two ranks on every kernel tier match the serial run of that tier.
+#[test]
+fn two_ranks_match_serial_on_every_backend() {
+    let mesh = build_mesh(3, 0, Reordering::None);
+    let dt = ModelConfig::suggested_dt(&mesh);
+    let tc = mpas_swe::TestCase::Case6;
+    for backend in KernelBackend::ALL {
+        let config = ModelConfig {
+            kernel_backend: backend,
+            n_tracers: 1,
+            ..Default::default()
+        };
+        let serial = run_engine(&mesh, config, tc, dt, Executor::Serial);
+        let dist = run_distributed(
+            &mesh,
+            DistributedConfig {
+                n_ranks: 2,
+                halo_layers: 3,
+                model: config,
+                test_case: tc,
+                dt,
+                n_steps: STEPS,
+            },
+        );
+        assert_eq!(
+            serial,
+            state_hash(&dist),
+            "{}: 2 ranks differ",
+            backend.name()
+        );
+    }
+}

@@ -7,7 +7,7 @@
 //! streams) show up as a per-pattern multiplicative error. This module
 //! measures that error on the machine the code actually runs on: it runs the
 //! *real* scalar kernels of [`mpas_swe::kernels::ops`] under
-//! [`crate::parallel::ParallelModel`] on realistic test-case-5 state, reads
+//! [`mpas_swe::ShallowWaterModel`] on realistic test-case-5 state, reads
 //! the per-kernel timer of each Table-I instance, and fits
 //!
 //! ```text
@@ -19,15 +19,16 @@
 //! [`mpas_sched::TaskDag::from_dataflow_with`] and every registered policy
 //! schedules against measured, not modeled, costs.
 //!
-//! Two instances share an executor invocation and split its time evenly:
+//! Pairs of instances that share one executor op split its time evenly:
 //! `D1`/`D2` are both produced by one [`mpas_swe::kernels::ops::d2fdx2`]
-//! call.
+//! call, and the provisional update `X2`/`X3` shares one pass over the
+//! tendencies with the accumulation `X4`/`X5` (ops `X2X4`/`X3X5`).
 
-use crate::parallel::ParallelModel;
 use mpas_patterns::dataflow::{table_i, DataflowGraph, MeshCounts, RkPhase};
 use mpas_sched::{CalibratedCost, DagOptions, DeviceSpec, Platform, SchedulerPolicy, TaskDag};
 use mpas_swe::config::{KernelBackend, ModelConfig};
 use mpas_swe::testcases::TestCase;
+use mpas_swe::ShallowWaterModel;
 use mpas_telemetry::{MetricsSnapshot, Recorder};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -122,7 +123,7 @@ pub fn calibrate_host(level: u32, reps: usize) -> CalibrationReport {
 
 /// Calibrate every Table-I pattern on `mesh`.
 ///
-/// Runs the scalar kernels under a single-threaded [`ParallelModel`] on
+/// Runs the scalar kernels under a one-part [`ShallowWaterModel`] on
 /// Williamson test case 5 (the paper's benchmark case): one warm-up step,
 /// then `reps` steps under a live recorder, fitted by
 /// [`calibration_from_metrics`]. High-order thickness makes H2 run the
@@ -135,7 +136,7 @@ pub fn calibrate_on(mesh: Arc<mpas_mesh::Mesh>, reps: usize) -> CalibrationRepor
         del2_viscosity: 1.0e4,
         ..ModelConfig::default()
     };
-    let mut m = ParallelModel::new(mesh.clone(), config, TestCase::Case5, None, 1);
+    let mut m = ShallowWaterModel::new(mesh.clone(), config, TestCase::Case5, None);
     m.step(); // warm caches, fault pages
     let rec = Recorder::new();
     m.set_recorder(rec.clone());
@@ -152,14 +153,16 @@ pub fn calibrate_on(mesh: Arc<mpas_mesh::Mesh>, reps: usize) -> CalibrationRepor
 }
 
 /// Fit a calibration from the `hybrid.kernel.<label>.seconds` histograms a
-/// telemetry [`Recorder`] collected while a
-/// [`ParallelModel`]/[`crate::parallel::HybridModel`] ran; [`calibrate_on`]
-/// is this fit over a dedicated single-threaded scalar run.
+/// telemetry [`Recorder`] collected while a [`ShallowWaterModel`] ran on
+/// any team; [`calibrate_on`] is this fit over a dedicated one-part scalar
+/// run.
 ///
 /// The p50 of each histogram is the measured time (robust to warm-up
-/// outliers). The shared `D1D2` timer covers one
-/// [`mpas_swe::kernels::ops::d2fdx2`] call that produces both `D1` and
-/// `D2`; its time is split evenly. Patterns
+/// outliers). A shared timer is split evenly between its two instances:
+/// `D1D2` covers one [`mpas_swe::kernels::ops::d2fdx2`] call that produces
+/// both `D1` and `D2`, and `X2X4`/`X3X5` the fused provisional-update and
+/// accumulate pass of the first three stages (`X4`/`X5` keep their own
+/// timers from the last stage's plain accumulate). Patterns
 /// with no recorded histogram (e.g. `C1` when `del2_viscosity == 0`) are
 /// simply absent from the report; [`CalibratedCost`] falls back to the
 /// plain roofline for them.
@@ -168,10 +171,15 @@ pub fn calibration_from_metrics(snapshot: &MetricsSnapshot, mc: &MeshCounts) -> 
     let instances = table_i();
     let mut entries = Vec::new();
     for inst in &instances {
+        let shared = |op: &str| {
+            snapshot
+                .histogram(&format!("hybrid.kernel.{op}.seconds"))
+                .map(|h| 0.5 * h.p50)
+        };
         let measured = match inst.name {
-            "D1" | "D2" => snapshot
-                .histogram("hybrid.kernel.D1D2.seconds")
-                .map(|h| 0.5 * h.p50),
+            "D1" | "D2" => shared("D1D2"),
+            "X2" => shared("X2X4"),
+            "X3" => shared("X3X5"),
             name => snapshot
                 .histogram(&format!("hybrid.kernel.{name}.seconds"))
                 .map(|h| h.p50),
@@ -246,7 +254,7 @@ mod tests {
             high_order_h_edge: true,
             ..ModelConfig::default()
         };
-        let mut m = ParallelModel::new(mesh.clone(), config, TestCase::Case5, None, 1)
+        let mut m = ShallowWaterModel::new(mesh.clone(), config, TestCase::Case5, None)
             .with_recorder(rec.clone());
         m.step();
         let mc = MeshCounts {

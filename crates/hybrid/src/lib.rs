@@ -20,12 +20,10 @@
 //!   `hybrid.kernel.*` histograms a telemetry
 //!   [`Recorder`](mpas_telemetry::Recorder) collected during a real run
 //!   ([`calibration_from_metrics`]).
-//! * [`parallel`] — real, measured executors: one RK-4 stepper whose range
-//!   ops run on a persistent team of std threads, either as equal parts
-//!   (the "OpenMP" analog) or weighted into host and accelerator parts (the
-//!   hybrid executor), verified bit-for-bit against the serial kernels (the
-//!   §V.A validation). Both accept a telemetry recorder and emit per-kernel
-//!   timers keyed by Table-I label.
+//! * [`parallel`] — real, measured executors: the team weights that make
+//!   the one model ([`mpas_swe::ShallowWaterModel`]) run weighted into host
+//!   and accelerator parts (the hybrid executor), verified bit-for-bit
+//!   against the serial run (the §V.A validation).
 //! * [`ladder`] — the Fig. 6 single-device optimization ladder.
 
 pub mod ablation;
@@ -34,13 +32,12 @@ pub mod ladder;
 pub mod parallel;
 pub mod sched;
 pub mod sim;
-mod team;
 pub mod trace;
 
 pub use calibrate::{calibrate_host, calibration_from_metrics, CalibrationReport};
 pub use ladder::{fig6_ladder, OptStage};
 pub use mpas_sched::platform::{DeviceSpec, Platform, TransferLink};
-pub use parallel::{HybridModel, ParallelModel};
+pub use parallel::hybrid_weights;
 pub use sched::{schedule_substep, Placement, Policy, SchedOptions, Schedule, SchedulerPolicy};
 pub use sim::{time_per_step, time_per_step_multirank};
 pub use trace::{to_chrome_trace, to_combined_trace};

@@ -1,540 +1,53 @@
-//! Real (measured) threaded executors.
+//! Real (measured) executors: which ranges run where.
 //!
-//! [`ParallelModel`] is the one multithreaded RK-4 stepper. Every range op of
-//! every stage — the Table-I kernels, the axpy and accumulate passes and the
-//! velocity reconstruction — runs the exact serial kernel body over the
-//! contiguous parts a persistent worker team hands out: the OpenMP analog, one
-//! parallel region per kernel, no data races by construction (each part owns
-//! a disjoint `&mut` window of the output field).
-//!
-//! [`HybridModel`] is a `ParallelModel` whose team is weighted for the
-//! paper's device split: its first `cpu_threads` parts stand in for the host
-//! CPU and the rest for the accelerator, sized at the platform's throughput
-//! ratio, so every pattern of every stage is divided between the two devices
-//! — the execution shape of Fig. 4 (b). The executors decide only which
-//! ranges run where (the paper's "adjustable part"). Both simulated devices
-//! run on the host's cores, so the accelerator's speed is *modeled* via
-//! `crate::sched`; what is verified here is bit-for-bit agreement with the
-//! serial code (the paper's §V.A validation).
+//! Every executor steps the one model, [`mpas_swe::ShallowWaterModel`],
+//! whose range ops run on a persistent [`mpas_swe::Team`]. The executors
+//! differ only in the team's weights (the paper's "adjustable part"): one
+//! part is the serial reference, equal parts the OpenMP-analog threaded
+//! executor, and [`hybrid_weights`] the two-device executor of Fig. 4 (b),
+//! whose first `cpu_threads` parts stand in for the host CPU and the rest
+//! for the accelerator, sized at the platform's throughput ratio, so every
+//! pattern of every stage is divided between the two devices. Both
+//! simulated devices run on the host's cores, so the accelerator's speed
+//! is *modeled* via `crate::sched`; what is verified here is bit-for-bit
+//! agreement with the serial code (the paper's §V.A validation).
 
-use crate::team::Team;
-use mpas_mesh::Mesh;
 use mpas_sched::platform::Platform;
-use mpas_swe::coeffs::KernelCoeffs;
-use mpas_swe::config::ModelConfig;
-use mpas_swe::kernels::{dispatch, ops};
-use mpas_swe::reconstruct::ReconstructCoeffs;
-use mpas_swe::rk4::{RK_SUBSTEP, RK_WEIGHTS};
-use mpas_swe::state::{Diagnostics, Reconstruction, State};
-use mpas_swe::testcases::TestCase;
-use mpas_swe::Tendencies;
-use mpas_telemetry::Recorder;
-use std::ops::{Deref, DerefMut, Range};
-use std::sync::Arc;
 
-/// The team plus the telemetry that times it.
-struct Exec {
-    team: Team,
-    /// Parts `0..host_parts` are the host's; the rest (none for a plain
-    /// threaded model) are the accelerator's.
-    host_parts: usize,
-    /// Telemetry sink (`hybrid.*` timers, step spans); no-op by default.
-    rec: Recorder,
-}
-
-impl Exec {
-    /// Run `ops` on the team under a `measured`-track span plus the
-    /// `hybrid.kernel.<label>.seconds` timer of one Table-I kernel (no
-    /// allocation, one branch, when telemetry is off).
-    fn op(&mut self, label: &str, ops: impl FnOnce(&mut Team)) {
-        let _g = self.rec.is_enabled().then(|| {
-            let metric = format!("hybrid.kernel.{label}.seconds");
-            self.rec.span_timed("measured", label, &metric)
-        });
-        ops(&mut self.team);
-    }
-
-    /// [`Exec::op`] for one single-output range op. On a team with
-    /// accelerator parts it also times each device's share of the parts
-    /// under `hybrid.split.<label>.{cpu,acc}.seconds`, so the two devices'
-    /// shares of one adjustable pattern can be compared.
-    fn run<F>(&mut self, label: &str, out: &mut [f64], f: F)
-    where
-        F: Fn(Range<usize>, &mut [f64]) + Sync,
-    {
-        self.op(label, |team| team.run(out, f));
-        let (h, n) = (self.host_parts, self.team.parts());
-        if self.rec.is_enabled() && h < n {
-            let (cpu, acc) = (self.team.finish_secs(0..h), self.team.finish_secs(h..n));
-            self.rec
-                .record(&format!("hybrid.split.{label}.cpu.seconds"), cpu);
-            self.rec
-                .record(&format!("hybrid.split.{label}.acc.seconds"), acc);
-        }
-    }
-}
-
-/// A threaded shallow-water model numerically identical to
-/// [`mpas_swe::ShallowWaterModel`].
-pub struct ParallelModel {
-    /// The mesh being integrated.
-    pub mesh: Arc<Mesh>,
-    /// Numerical options.
-    pub config: ModelConfig,
-    /// Prognostic state.
-    pub state: State,
-    /// Current diagnostics (consistent with `state`).
-    pub diag: Diagnostics,
-    /// Reconstructed cell-center velocities.
-    pub recon: Reconstruction,
-    /// Bottom topography at cells.
-    pub b: Vec<f64>,
-    /// Coriolis parameter at vertices.
-    pub f_vertex: Vec<f64>,
-    /// Velocity-reconstruction coefficients.
-    pub coeffs: ReconstructCoeffs,
-    /// Precomputed fused kernel coefficients (read by the fused and simd
-    /// backends of `config.kernel_backend`). Shared so multi-tenant servers can
-    /// reuse one table across concurrent models on the same mesh/config.
-    pub kcoeffs: Arc<KernelCoeffs>,
-    /// Fixed per-stage forcing tendency (Williamson case 4), identical to
-    /// the serial model's — computed once at init with the serial kernels.
-    pub forcing: Option<Tendencies>,
-    tend: Tendencies,
-    provis: State,
-    acc_state: State,
-    /// del4 scratch: the Laplacian of `u` at edges and its divergence and
-    /// curl (empty unless `del4_viscosity != 0`).
-    lap: Vec<f64>,
-    div_lap: Vec<f64>,
-    vort_lap: Vec<f64>,
-    x: Exec,
-    /// Model time in seconds.
-    pub time: f64,
-    /// Time-step size in seconds.
-    pub dt: f64,
-}
-
-impl ParallelModel {
-    /// Build with `n_threads` workers.
-    pub fn new(
-        mesh: Arc<Mesh>,
-        config: ModelConfig,
-        test_case: TestCase,
-        dt: Option<f64>,
-        n_threads: usize,
-    ) -> Self {
-        Self::new_shared(mesh, config, test_case, dt, n_threads, None)
-    }
-
-    /// Like [`ParallelModel::new`], but reuse an already-built coefficient
-    /// table (it must have been built for this exact mesh and config).
-    /// `None` builds a fresh table.
-    pub fn new_shared(
-        mesh: Arc<Mesh>,
-        config: ModelConfig,
-        test_case: TestCase,
-        dt: Option<f64>,
-        n_threads: usize,
-        shared_coeffs: Option<Arc<KernelCoeffs>>,
-    ) -> Self {
-        let team = Team::equal(n_threads);
-        let host_parts = team.parts();
-        Self::with_team(mesh, config, test_case, dt, team, host_parts, shared_coeffs)
-    }
-
-    fn with_team(
-        mesh: Arc<Mesh>,
-        config: ModelConfig,
-        test_case: TestCase,
-        dt: Option<f64>,
-        team: Team,
-        host_parts: usize,
-        shared_coeffs: Option<Arc<KernelCoeffs>>,
-    ) -> Self {
-        let state = test_case.initial_state_with_tracers(&mesh, config.n_tracers);
-        let b = test_case.topography(&mesh);
-        let f_vertex = test_case.coriolis_vertex(&mesh);
-        let coeffs = ReconstructCoeffs::build(&mesh);
-        let kcoeffs =
-            shared_coeffs.unwrap_or_else(|| Arc::new(KernelCoeffs::build(&mesh, &config)));
-        let dt = dt.unwrap_or_else(|| ModelConfig::suggested_dt(&mesh));
-        let forcing = test_case.needs_forcing().then(|| {
-            mpas_swe::model::compute_equilibrium_forcing(
-                &mesh, &config, &kcoeffs, &test_case, &b, &f_vertex, dt,
-            )
-        });
-        let del4 = config.del4_viscosity != 0.0;
-        let scratch = |n: usize| vec![0.0; if del4 { n } else { 0 }];
-        let mut m = ParallelModel {
-            forcing,
-            tend: Tendencies::zeros_with_tracers(&mesh, config.n_tracers),
-            provis: State::zeros_with_tracers(&mesh, config.n_tracers),
-            acc_state: State::zeros_with_tracers(&mesh, config.n_tracers),
-            diag: Diagnostics::zeros(&mesh),
-            recon: Reconstruction::zeros(&mesh),
-            lap: scratch(mesh.n_edges()),
-            div_lap: scratch(mesh.n_cells()),
-            vort_lap: scratch(mesh.n_vertices()),
-            state,
-            b,
-            f_vertex,
-            coeffs,
-            kcoeffs,
-            x: Exec {
-                team,
-                host_parts,
-                rec: Recorder::noop(),
-            },
-            config,
-            time: 0.0,
-            dt,
-            mesh,
-        };
-        m.solve_diagnostics_on(Which::State);
-        m
-    }
-
-    /// Route this model's `hybrid.*` telemetry (per-kernel timers keyed by
-    /// Table-I label, per-device split timers, step spans) into `rec`.
-    pub fn with_recorder(mut self, rec: Recorder) -> Self {
-        self.x.rec = rec;
-        self
-    }
-
-    /// Route this model's `hybrid.*` telemetry into `rec`.
-    pub fn set_recorder(&mut self, rec: Recorder) {
-        self.x.rec = rec;
-    }
-
-    /// The telemetry sink.
-    pub fn recorder(&self) -> &Recorder {
-        &self.x.rec
-    }
-
-    fn solve_diagnostics_on(&mut self, which: Which) {
-        let (h, u): (&[f64], &[f64]) = match which {
-            Which::State => (&self.state.h, &self.state.u),
-            Which::Provis => (&self.provis.h, &self.provis.u),
-        };
-        let (mesh, config, kc) = (&*self.mesh, &self.config, &*self.kcoeffs);
-        let (backend, dt, x) = (config.kernel_backend, self.dt, &mut self.x);
-        let Diagnostics {
-            h_edge,
-            ke,
-            vorticity,
-            vorticity_cell,
-            divergence,
-            pv_vertex,
-            pv_cell,
-            pv_edge,
-            v,
-            d2fdx2_cell1,
-            d2fdx2_cell2,
-        } = &mut self.diag;
-        if config.high_order_h_edge {
-            x.op("D1D2", |t| {
-                t.run2(d2fdx2_cell1, d2fdx2_cell2, |r, o1, o2| {
-                    dispatch::d2fdx2(backend, mesh, kc, h, o1, o2, r)
-                })
-            });
-            let (d1, d2) = (&d2fdx2_cell1[..], &d2fdx2_cell2[..]);
-            x.run("H2", h_edge, |r, o| {
-                dispatch::h_edge(backend, mesh, kc, config, h, d1, d2, o, r)
-            });
-        } else {
-            x.run("H2", h_edge, |r, o| {
-                ops::h_edge(mesh, config, h, &[], &[], o, r)
-            });
-        }
-        if config.advection_only {
-            // Williamson TC1: only the thickness flux is needed (the PV
-            // chain would divide by the zero-thickness tracer field) —
-            // mirror the serial composite's early return.
-            return;
-        }
-        x.run("C2", vorticity, |r, o| {
-            dispatch::vorticity(backend, mesh, kc, u, o, r)
-        });
-        x.run("A2", ke, |r, o| dispatch::ke(backend, mesh, kc, u, o, r));
-        x.run("B2", divergence, |r, o| {
-            dispatch::divergence(backend, mesh, kc, u, o, r)
-        });
-        x.run("H1", v, |r, o| ops::tangential_velocity(mesh, u, o, r));
-        let (vort, f_vertex) = (&vorticity[..], &self.f_vertex);
-        x.run("A3", vorticity_cell, |r, o| {
-            dispatch::vorticity_cell(backend, mesh, kc, vort, o, r)
-        });
-        x.run("E", pv_vertex, |r, o| {
-            ops::pv_vertex(mesh, h, vort, f_vertex, o, r)
-        });
-        let pvv = &pv_vertex[..];
-        x.run("F", pv_cell, |r, o| {
-            dispatch::pv_cell(backend, mesh, kc, pvv, o, r)
-        });
-        let (pvc, v, apvm) = (&pv_cell[..], &v[..], config.apvm_factor);
-        x.run("G", pv_edge, |r, o| {
-            dispatch::pv_edge(backend, mesh, kc, apvm, dt, pvv, pvc, u, v, o, r)
-        });
-    }
-
-    fn compute_tend_on(&mut self) {
-        let (mesh, config, kc) = (&*self.mesh, &self.config, &*self.kcoeffs);
-        let (backend, x) = (config.kernel_backend, &mut self.x);
-        let (h, u, b) = (&self.provis.h, &self.provis.u, &self.b);
-        let (d, tend) = (&self.diag, &mut self.tend);
-        x.run("A1", &mut tend.tend_h, |r, o| {
-            dispatch::tend_h(backend, mesh, kc, u, &d.h_edge, o, r)
-        });
-        if config.advection_only {
-            // Williamson TC1 holds the wind fixed: the u-tendency is
-            // identically zero, matching the serial composite's early-out.
-            tend.tend_u.fill(0.0);
-        } else {
-            let (g, pv_edge, h_edge, ke) = (config.gravity, &d.pv_edge, &d.h_edge, &d.ke);
-            x.run("B1", &mut tend.tend_u, |r, o| {
-                dispatch::tend_u(backend, mesh, kc, g, pv_edge, u, h_edge, ke, h, b, o, r)
-            });
-        }
-        let (div, vort) = (&d.divergence, &d.vorticity);
-        if !config.advection_only && config.del2_viscosity != 0.0 {
-            let nu = config.del2_viscosity;
-            x.run("C1", &mut tend.tend_u, |r, o| {
-                dispatch::tend_u_del2(backend, mesh, kc, nu, div, vort, o, r)
-            });
-        }
-        if !config.advection_only && config.del4_viscosity != 0.0 {
-            // The del4 chain has no single Table-I label; time it as a unit.
-            let nu = config.del4_viscosity;
-            let (lap, div_lap, vort_lap) = (&mut self.lap, &mut self.div_lap, &mut self.vort_lap);
-            x.op("del4", |t| {
-                t.run(lap, |r, o| {
-                    dispatch::lap_u(backend, mesh, kc, div, vort, o, r)
-                });
-                let lap = &lap[..];
-                t.run(div_lap, |r, o| {
-                    dispatch::divergence(backend, mesh, kc, lap, o, r)
-                });
-                t.run(vort_lap, |r, o| {
-                    dispatch::vorticity(backend, mesh, kc, lap, o, r)
-                });
-                let (dl, vl) = (&div_lap[..], &vort_lap[..]);
-                t.run(&mut tend.tend_u, |r, o| {
-                    dispatch::tend_u_del4(backend, mesh, kc, nu, dl, vl, o, r)
-                });
-            });
-        }
-        for (out, hq) in tend.tend_tracers.iter_mut().zip(&self.provis.tracers) {
-            x.run("T1", out, |r, o| {
-                dispatch::tend_tracer(backend, mesh, kc, u, &d.h_edge, h, hq, o, r)
-            });
-        }
-        if let Some(f) = &self.forcing {
-            // Pattern F1: exact +1.0-weighted accumulate, same as serial.
-            x.op("F1", |t| {
-                t.run(&mut tend.tend_h, |r, o| {
-                    ops::accumulate(&f.tend_h, 1.0, o, r)
-                });
-                t.run(&mut tend.tend_u, |r, o| {
-                    ops::accumulate(&f.tend_u, 1.0, o, r)
-                });
-            });
-        }
-        x.run("X1", &mut tend.tend_u, |r, o| {
-            ops::enforce_boundary(mesh, o, r)
-        });
-    }
-
-    /// One RK-4 step, every range op split across the team.
-    pub fn step(&mut self) {
-        let rec = self.x.rec.clone();
-        let _step = rec
-            .is_enabled()
-            .then(|| rec.span_timed("measured", "step", "hybrid.step_seconds"));
-        self.acc_state.copy_from(&self.state);
-        self.provis.copy_from(&self.state);
-        // `stage` is the RK stage number, not just an index into RK_SUBSTEP.
-        #[allow(clippy::needless_range_loop)]
-        for stage in 0..4 {
-            let _sub = rec
-                .is_enabled()
-                .then(|| rec.span("measured", &format!("rk.stage{stage}")));
-            self.compute_tend_on();
-            if stage < 3 {
-                self.provisional(RK_SUBSTEP[stage] * self.dt);
-                self.solve_diagnostics_on(Which::Provis);
-                self.accumulate(stage);
-            } else {
-                self.accumulate(stage);
-                self.state.copy_from(&self.acc_state);
-                self.solve_diagnostics_on(Which::State);
-                self.reconstruct();
-            }
-        }
-        self.time += self.dt;
-    }
-
-    /// `provis = state + a · tend`, field by field.
-    fn provisional(&mut self, a: f64) {
-        let (x, base, tend, provis) = (&mut self.x, &self.state, &self.tend, &mut self.provis);
-        x.run("X2", &mut provis.h, |r, o| {
-            ops::axpy(&base.h, &tend.tend_h, a, o, r)
-        });
-        x.run("X3", &mut provis.u, |r, o| {
-            ops::axpy(&base.u, &tend.tend_u, a, o, r)
-        });
-        let fields = provis.tracers.iter_mut().zip(&base.tracers);
-        for ((out, base), tt) in fields.zip(&tend.tend_tracers) {
-            x.team.run(out, |r, o| ops::axpy(base, tt, a, o, r));
-        }
-    }
-
-    /// `acc_state += w · tend` with this stage's RK weight.
-    fn accumulate(&mut self, stage: usize) {
-        let w = RK_WEIGHTS[stage] * self.dt;
-        let (x, tend, acc) = (&mut self.x, &self.tend, &mut self.acc_state);
-        x.run("X4", &mut acc.h, |r, o| {
-            ops::accumulate(&tend.tend_h, w, o, r)
-        });
-        x.run("X5", &mut acc.u, |r, o| {
-            ops::accumulate(&tend.tend_u, w, o, r)
-        });
-        for (out, tt) in acc.tracers.iter_mut().zip(&tend.tend_tracers) {
-            x.team.run(out, |r, o| ops::accumulate(tt, w, o, r));
-        }
-    }
-
-    fn reconstruct(&mut self) {
-        let (mesh, coeffs, u) = (&*self.mesh, &self.coeffs, &self.state.u);
-        let Reconstruction {
-            ux,
-            uy,
-            uz,
-            zonal,
-            meridional,
-        } = &mut self.recon;
-        self.x.op("A4", |t| {
-            t.run3(ux, uy, uz, |r, x, y, z| {
-                ops::reconstruct_xyz(mesh, coeffs, u, x, y, z, r)
-            })
-        });
-        let (ux, uy, uz) = (&ux[..], &uy[..], &uz[..]);
-        self.x.op("X6", |t| {
-            t.run2(zonal, meridional, |r, zo, me| {
-                ops::zonal_meridional(mesh, ux, uy, uz, zo, me, r)
-            })
-        });
-    }
-
-    /// Advance `n` steps.
-    pub fn run_steps(&mut self, n: usize) {
-        for _ in 0..n {
-            self.step();
-        }
-    }
-}
-
-#[derive(Clone, Copy)]
-enum Which {
-    State,
-    Provis,
-}
-
-/// Two-device hybrid executor: a [`ParallelModel`] (reached through
-/// `Deref`) whose team splits every range op between `cpu_threads` host
-/// parts and `acc_threads` accelerator parts at the platform's throughput
-/// ratio.
-pub struct HybridModel {
-    inner: ParallelModel,
-    /// Fraction of each range handled by the accelerator parts.
-    pub acc_fraction: f64,
-}
-
-impl HybridModel {
-    /// Build with `cpu_threads`/`acc_threads` workers and a split derived
-    /// from the platform's relative bandwidths.
-    pub fn new(
-        mesh: Arc<Mesh>,
-        config: ModelConfig,
-        test_case: TestCase,
-        dt: Option<f64>,
-        cpu_threads: usize,
-        acc_threads: usize,
-        platform: &Platform,
-    ) -> Self {
-        Self::new_shared(
-            mesh,
-            config,
-            test_case,
-            dt,
-            cpu_threads,
-            acc_threads,
-            platform,
-            None,
-        )
-    }
-
-    /// Like [`HybridModel::new`], but reuse an already-built coefficient
-    /// table (it must have been built for this exact mesh and config).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_shared(
-        mesh: Arc<Mesh>,
-        config: ModelConfig,
-        test_case: TestCase,
-        dt: Option<f64>,
-        cpu_threads: usize,
-        acc_threads: usize,
-        platform: &Platform,
-        shared_coeffs: Option<Arc<KernelCoeffs>>,
-    ) -> Self {
-        let acc_fraction = platform.acc.mem_bw / (platform.acc.mem_bw + platform.cpu.mem_bw);
-        let (cpu, acc) = (cpu_threads.max(1), acc_threads.max(1));
-        let mut weights = vec![(1.0 - acc_fraction) / cpu as f64; cpu];
-        weights.extend(vec![acc_fraction / acc as f64; acc]);
-        let team = Team::new(&weights);
-        HybridModel {
-            inner: ParallelModel::with_team(mesh, config, test_case, dt, team, cpu, shared_coeffs),
-            acc_fraction,
-        }
-    }
-
-    /// Route this model's `hybrid.*` telemetry (per-kernel and per-device
-    /// split timers, step spans) into `rec`.
-    pub fn with_recorder(mut self, rec: Recorder) -> Self {
-        self.inner.set_recorder(rec);
-        self
-    }
-}
-
-impl Deref for HybridModel {
-    type Target = ParallelModel;
-
-    fn deref(&self) -> &ParallelModel {
-        &self.inner
-    }
-}
-
-impl DerefMut for HybridModel {
-    fn deref_mut(&mut self) -> &mut ParallelModel {
-        &mut self.inner
-    }
+/// Team weights of a `hybrid:cpu_threads:acc_threads` executor: the
+/// accelerator parts together take
+/// `acc_fraction = acc.mem_bw / (acc.mem_bw + cpu.mem_bw)` of every range,
+/// the host parts the rest, each device's share split equally among its
+/// parts (at least one part each).
+pub fn hybrid_weights(platform: &Platform, cpu_threads: usize, acc_threads: usize) -> Vec<f64> {
+    let acc_fraction = platform.acc.mem_bw / (platform.acc.mem_bw + platform.cpu.mem_bw);
+    let (cpu, acc) = (cpu_threads.max(1), acc_threads.max(1));
+    let mut weights = vec![(1.0 - acc_fraction) / cpu as f64; cpu];
+    weights.extend(vec![acc_fraction / acc as f64; acc]);
+    weights
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpas_mesh::Mesh;
+    use mpas_swe::{ModelConfig, ShallowWaterModel, Team, TestCase};
+    use std::sync::Arc;
 
     fn mesh() -> Arc<Mesh> {
         Arc::new(mpas_mesh::generate(3, 0))
+    }
+
+    fn on_team(mesh: &Arc<Mesh>, tc: TestCase, team: Team, host: usize) -> ShallowWaterModel {
+        ShallowWaterModel::new(mesh.clone(), ModelConfig::default(), tc, None).with_team(team, host)
     }
 
     #[test]
     fn parallel_model_matches_serial_bitwise() {
         let mesh = mesh();
         let tc = TestCase::Case5;
-        let cfg = ModelConfig::default();
-        let mut serial = mpas_swe::ShallowWaterModel::new(mesh.clone(), cfg, tc, None);
-        let mut par = ParallelModel::new(mesh, cfg, tc, None, 3);
+        let mut serial = ShallowWaterModel::new(mesh.clone(), ModelConfig::default(), tc, None);
+        let mut par = on_team(&mesh, tc, Team::equal(3), 3);
         serial.run_steps(5);
         par.run_steps(5);
         assert_eq!(
@@ -548,9 +61,9 @@ mod tests {
     fn hybrid_model_matches_serial_bitwise() {
         let mesh = mesh();
         let tc = TestCase::Case6;
-        let cfg = ModelConfig::default();
-        let mut serial = mpas_swe::ShallowWaterModel::new(mesh.clone(), cfg, tc, None);
-        let mut hyb = HybridModel::new(mesh, cfg, tc, None, 2, 2, &Platform::paper_node());
+        let mut serial = ShallowWaterModel::new(mesh.clone(), ModelConfig::default(), tc, None);
+        let weights = hybrid_weights(&Platform::paper_node(), 2, 2);
+        let mut hyb = on_team(&mesh, tc, Team::new(&weights), 2);
         serial.run_steps(4);
         hyb.run_steps(4);
         assert_eq!(serial.state.max_abs_diff(&hyb.state), 0.0);
@@ -558,30 +71,21 @@ mod tests {
 
     #[test]
     fn split_fraction_reflects_platform() {
-        let p = Platform::paper_node();
-        let hm = HybridModel::new(
-            mesh(),
-            ModelConfig::default(),
-            TestCase::Case5,
-            None,
-            1,
-            1,
-            &p,
-        );
-        assert!(
-            hm.acc_fraction > 0.5,
-            "accelerator should take the majority"
-        );
-        assert!(hm.acc_fraction < 0.8);
+        let w = hybrid_weights(&Platform::paper_node(), 1, 3);
+        assert_eq!(w.len(), 4);
+        assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        let acc_fraction: f64 = w[1..].iter().sum();
+        assert!(acc_fraction > 0.5, "accelerator should take the majority");
+        assert!(acc_fraction < 0.8);
+        assert!(w[1] == w[2] && w[2] == w[3], "equal accelerator parts");
     }
 
     #[test]
     fn thread_count_does_not_change_results() {
         let mesh = mesh();
         let tc = TestCase::Case2 { alpha: 0.4 };
-        let cfg = ModelConfig::default();
-        let mut one = ParallelModel::new(mesh.clone(), cfg, tc, None, 1);
-        let mut four = ParallelModel::new(mesh, cfg, tc, None, 4);
+        let mut one = on_team(&mesh, tc, Team::equal(1), 1);
+        let mut four = on_team(&mesh, tc, Team::equal(4), 4);
         one.run_steps(3);
         four.run_steps(3);
         assert_eq!(one.state.max_abs_diff(&four.state), 0.0);

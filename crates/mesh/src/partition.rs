@@ -452,6 +452,18 @@ mod tests {
                 let expect = if l < r.n_owned_cells { 0 } else { 1 };
                 assert_eq!(c, expect, "cell local {l} of rank {}", r.rank);
             }
+            // Edges too: a rank may update its whole local range because
+            // the exchange then overwrites every halo entry.
+            let mut covered = vec![0u32; r.n_edges()];
+            for (_, list) in &r.recv_edges {
+                for &l in list {
+                    covered[l as usize] += 1;
+                }
+            }
+            for (l, &c) in covered.iter().enumerate() {
+                let expect = if l < r.n_owned_edges { 0 } else { 1 };
+                assert_eq!(c, expect, "edge local {l} of rank {}", r.rank);
+            }
         }
     }
 

@@ -10,6 +10,50 @@ use std::net::TcpStream;
 /// multi-megabyte body is a client bug or abuse, not a bigger job).
 const MAX_BODY: usize = 1 << 20;
 
+/// Upper bound on the request line and on each header line, CRLF included.
+const MAX_LINE: usize = 8 * 1024;
+
+/// Upper bound on the number of header lines.
+const MAX_HEADERS: usize = 64;
+
+/// The request line, a header line or the header count is over its cap
+/// (answered with 431).
+#[derive(Debug)]
+pub struct HeaderTooLarge;
+
+impl std::fmt::Display for HeaderTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "request header fields too large (lines <= {MAX_LINE} bytes, <= {MAX_HEADERS} headers)"
+        )
+    }
+}
+
+impl std::error::Error for HeaderTooLarge {}
+
+impl HeaderTooLarge {
+    /// Whether `e` is this error.
+    pub fn is(e: &io::Error) -> bool {
+        e.get_ref()
+            .is_some_and(|inner| inner.is::<HeaderTooLarge>())
+    }
+}
+
+fn too_large() -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, HeaderTooLarge)
+}
+
+/// Append one line of at most [`MAX_LINE`] bytes to `line`, reading no
+/// further than the cap. Returns the bytes read (0 at end of stream).
+fn read_line_capped(reader: &mut impl BufRead, line: &mut String) -> io::Result<usize> {
+    let n = reader.take(MAX_LINE as u64).read_line(line)?;
+    if n == MAX_LINE && !line.ends_with('\n') {
+        return Err(too_large());
+    }
+    Ok(n)
+}
+
 /// A parsed request.
 pub struct Request {
     /// Upper-cased method (`GET`, `POST`, ...).
@@ -42,7 +86,7 @@ fn bad(msg: &str) -> io::Error {
 pub fn read_request(stream: &TcpStream) -> io::Result<Request> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    read_line_capped(&mut reader, &mut line)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or_else(|| bad("empty request line"))?;
     let path = parts.next().ok_or_else(|| bad("missing request target"))?;
@@ -52,14 +96,17 @@ pub fn read_request(stream: &TcpStream) -> io::Result<Request> {
     let query = query.to_string();
 
     let mut content_length = 0usize;
-    loop {
+    for n_headers in 0.. {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        if read_line_capped(&mut reader, &mut header)? == 0 {
             return Err(bad("connection closed inside headers"));
         }
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        if n_headers == MAX_HEADERS {
+            return Err(too_large());
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -94,6 +141,7 @@ pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> io::Re
         405 => "Method Not Allowed",
         409 => "Conflict",
         429 => "Too Many Requests",
+        431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     };
@@ -253,6 +301,42 @@ mod tests {
         assert_eq!(req.query_param("prefix"), Some("server."));
         assert_eq!(req.query_param("interval_ms"), Some("50"));
         assert_eq!(req.query_param("count"), None);
+    }
+
+    #[test]
+    fn caps_header_lines_without_buffering_past_the_cap() {
+        // A 1 MiB line with no newline: an error after reading at most
+        // MAX_LINE bytes of it.
+        let raw = vec![b'a'; 1 << 20];
+        let mut rest = &raw[..];
+        let mut line = String::new();
+        let err = read_line_capped(&mut rest, &mut line).unwrap_err();
+        assert!(HeaderTooLarge::is(&err), "{err}");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(line.len() <= MAX_LINE);
+        assert!(raw.len() - rest.len() <= MAX_LINE);
+
+        // Over the socket: as a request line and as a header line (short
+        // enough for the socket buffers to hold what the server leaves
+        // unread).
+        let long = "a".repeat(8 * MAX_LINE);
+        for raw in [
+            format!("GET /{long} HTTP/1.1\r\n\r\n"),
+            format!("GET / HTTP/1.1\r\nX-Long: {long}\r\n\r\n"),
+        ] {
+            let err = round_trip(&raw).map(|_| ()).unwrap_err();
+            assert!(HeaderTooLarge::is(&err), "{err}");
+        }
+    }
+
+    #[test]
+    fn caps_the_header_count() {
+        let headers = |n: usize| "X-H: 1\r\n".repeat(n);
+        let ok = format!("GET / HTTP/1.1\r\n{}\r\n", headers(MAX_HEADERS));
+        assert!(round_trip(&ok).is_ok());
+        let over = format!("GET / HTTP/1.1\r\n{}\r\n", headers(MAX_HEADERS + 1));
+        let err = round_trip(&over).map(|_| ()).unwrap_err();
+        assert!(HeaderTooLarge::is(&err), "{err}");
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub struct JobRequest {
     /// `"fused"` body field still parses: `false` maps to scalar, `true`
     /// to fused, and an explicit `"backend"` wins over it.
     pub backend: KernelBackend,
-    /// Vertical layers (k > 1 requires `backend: simd` + serial executor).
+    /// Vertical layers (k > 1 requires `backend: simd`; any executor).
     pub layers: usize,
     /// Progress/cancellation cadence in steps (0 = end only).
     pub progress_every: usize,
@@ -161,13 +161,8 @@ impl JobRequest {
         if req.layers == 0 {
             return Err("layers must be >= 1".to_string());
         }
-        if req.layers > 1 {
-            if req.backend != KernelBackend::Simd {
-                return Err("layers > 1 requires backend simd".to_string());
-            }
-            if req.executor != "serial" {
-                return Err("layers > 1 requires the serial executor".to_string());
-            }
+        if req.layers > 1 && req.backend != KernelBackend::Simd {
+            return Err("layers > 1 requires backend simd".to_string());
         }
         Ok(req)
     }
@@ -279,12 +274,17 @@ mod tests {
         let spec = req.spec();
         assert_eq!(spec.backend, KernelBackend::Simd);
         assert_eq!(spec.layers, 4);
-        // Layered constraints are rejected at submission time.
+        // Layered constraints are rejected at submission time; every
+        // executor steps layered models.
         assert!(JobRequest::parse("{\"layers\": 4}").is_err());
-        assert!(JobRequest::parse(
-            "{\"backend\": \"simd\", \"layers\": 4, \"executor\": \"threaded:2\"}"
+        let threaded = JobRequest::parse(
+            "{\"backend\": \"simd\", \"layers\": 4, \"executor\": \"threaded:2\"}",
         )
-        .is_err());
+        .unwrap();
+        assert_eq!(
+            (threaded.layers, threaded.executor.as_str()),
+            (4, "threaded:2")
+        );
         assert!(JobRequest::parse("{\"layers\": 0}").is_err());
         assert!(JobRequest::parse("{\"backend\": \"avx\"}").is_err());
     }

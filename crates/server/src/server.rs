@@ -3,7 +3,9 @@
 
 use crate::cache::ArtifactCache;
 use crate::dispatch::{modeled_job_cost, Dispatcher, QueuedJob, SubmitError};
-use crate::http::{error_body, read_request, write_response, write_stream_head, Request};
+use crate::http::{
+    error_body, read_request, write_response, write_stream_head, HeaderTooLarge, Request,
+};
 use crate::job::JobRequest;
 use crate::registry::{JobState, Registry};
 use mpas_core::{JobError, JobProgress};
@@ -191,7 +193,8 @@ fn handle_connection(mut stream: TcpStream, inner: &Arc<Inner>, dispatcher: &Arc
     let req = match read_request(&stream) {
         Ok(r) => r,
         Err(e) => {
-            let _ = write_response(&mut stream, 400, &error_body(&e.to_string()));
+            let status = if HeaderTooLarge::is(&e) { 431 } else { 400 };
+            let _ = write_response(&mut stream, status, &error_body(&e.to_string()));
             return;
         }
     };

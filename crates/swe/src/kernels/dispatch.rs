@@ -6,9 +6,11 @@
 //! decision: [`KernelBackend::Scalar`] runs the seed form in
 //! [`super::ops`], [`KernelBackend::Fused`] the coefficient fast path in
 //! [`super::fused`], and [`KernelBackend::Simd`] the vertical-batching
-//! tier in [`super::simd`] at `k = 1` — which is bit-identical to the
-//! fused tier (DESIGN.md §14), so cross-executor equivalence holds per
-//! backend without re-proving anything per executor.
+//! tier in [`super::simd`] on `k = out.len() / range.len()` lanes per
+//! entity — which at `k = 1` is bit-identical to the fused tier
+//! (DESIGN.md §14), so cross-executor equivalence holds per backend
+//! without re-proving anything per executor. The scalar and fused tiers
+//! are single-lane.
 //!
 //! Kernels with nothing to fuse (H1 tangential velocity, E vertex PV)
 //! share one arithmetic across all three backends; they are dispatched
@@ -20,6 +22,15 @@ use crate::coeffs::KernelCoeffs;
 use crate::config::{KernelBackend, ModelConfig};
 use mpas_mesh::Mesh;
 use std::ops::Range;
+
+/// Lanes per entity of an output window over `range` (1 for an empty range).
+fn lanes(out: &[f64], range: &Range<usize>) -> usize {
+    if range.is_empty() {
+        1
+    } else {
+        out.len() / range.len()
+    }
+}
 
 /// A1 — thickness tendency on the configured backend.
 #[allow(clippy::too_many_arguments)]
@@ -35,7 +46,7 @@ pub fn tend_h(
     match backend {
         KernelBackend::Scalar => ops::tend_h(mesh, u, h_edge, out, cells),
         KernelBackend::Fused => fused::tend_h(mesh, kc, u, h_edge, out, cells),
-        KernelBackend::Simd => simd::tend_h(mesh, kc, 1, u, h_edge, out, cells),
+        KernelBackend::Simd => simd::tend_h(mesh, kc, lanes(out, &cells), u, h_edge, out, cells),
     }
 }
 
@@ -55,7 +66,9 @@ pub fn tend_tracer(
     match backend {
         KernelBackend::Scalar => ops::tend_tracer(mesh, u, h_edge, h, hq, out, cells),
         KernelBackend::Fused => fused::tend_tracer(mesh, kc, u, h_edge, h, hq, out, cells),
-        KernelBackend::Simd => simd::tend_tracer(mesh, kc, 1, u, h_edge, h, hq, out, cells),
+        KernelBackend::Simd => {
+            simd::tend_tracer(mesh, kc, lanes(out, &cells), u, h_edge, h, hq, out, cells)
+        }
     }
 }
 
@@ -71,7 +84,7 @@ pub fn divergence(
     match backend {
         KernelBackend::Scalar => ops::divergence(mesh, u, out, cells),
         KernelBackend::Fused => fused::divergence(mesh, kc, u, out, cells),
-        KernelBackend::Simd => simd::divergence(mesh, kc, 1, u, out, cells),
+        KernelBackend::Simd => simd::divergence(mesh, kc, lanes(out, &cells), u, out, cells),
     }
 }
 
@@ -87,7 +100,7 @@ pub fn ke(
     match backend {
         KernelBackend::Scalar => ops::ke(mesh, u, out, cells),
         KernelBackend::Fused => fused::ke(mesh, kc, u, out, cells),
-        KernelBackend::Simd => simd::ke(mesh, kc, 1, u, out, cells),
+        KernelBackend::Simd => simd::ke(mesh, kc, lanes(out, &cells), u, out, cells),
     }
 }
 
@@ -103,7 +116,7 @@ pub fn vorticity(
     match backend {
         KernelBackend::Scalar => ops::vorticity(mesh, u, out, vertices),
         KernelBackend::Fused => fused::vorticity(mesh, kc, u, out, vertices),
-        KernelBackend::Simd => simd::vorticity(mesh, kc, 1, u, out, vertices),
+        KernelBackend::Simd => simd::vorticity(mesh, kc, lanes(out, &vertices), u, out, vertices),
     }
 }
 
@@ -119,7 +132,9 @@ pub fn vorticity_cell(
     match backend {
         KernelBackend::Scalar => ops::vorticity_cell(mesh, vorticity, out, cells),
         KernelBackend::Fused => fused::vorticity_cell(mesh, kc, vorticity, out, cells),
-        KernelBackend::Simd => simd::kite_average(mesh, kc, 1, vorticity, out, cells),
+        KernelBackend::Simd => {
+            simd::kite_average(mesh, kc, lanes(out, &cells), vorticity, out, cells)
+        }
     }
 }
 
@@ -135,7 +150,9 @@ pub fn pv_cell(
     match backend {
         KernelBackend::Scalar => ops::pv_cell(mesh, pv_vertex, out, cells),
         KernelBackend::Fused => fused::pv_cell(mesh, kc, pv_vertex, out, cells),
-        KernelBackend::Simd => simd::kite_average(mesh, kc, 1, pv_vertex, out, cells),
+        KernelBackend::Simd => {
+            simd::kite_average(mesh, kc, lanes(out, &cells), pv_vertex, out, cells)
+        }
     }
 }
 
@@ -155,7 +172,15 @@ pub fn pv_vertex(
         KernelBackend::Scalar | KernelBackend::Fused => {
             ops::pv_vertex(mesh, h, vorticity, f_vertex, out, vertices)
         }
-        KernelBackend::Simd => simd::pv_vertex(mesh, 1, h, vorticity, f_vertex, out, vertices),
+        KernelBackend::Simd => simd::pv_vertex(
+            mesh,
+            lanes(out, &vertices),
+            h,
+            vorticity,
+            f_vertex,
+            out,
+            vertices,
+        ),
     }
 }
 
@@ -193,7 +218,7 @@ pub fn pv_edge(
         KernelBackend::Simd => simd::pv_edge(
             mesh,
             kc,
-            1,
+            lanes(out, &edges),
             apvm_factor,
             dt,
             pv_vertex,
@@ -230,7 +255,18 @@ pub fn tend_u(
             fused::tend_u(mesh, kc, gravity, pv_edge, u, h_edge, ke, h, b, out, edges)
         }
         KernelBackend::Simd => simd::tend_u(
-            mesh, kc, 1, gravity, pv_edge, u, h_edge, ke, h, b, out, edges,
+            mesh,
+            kc,
+            lanes(out, &edges),
+            gravity,
+            pv_edge,
+            u,
+            h_edge,
+            ke,
+            h,
+            b,
+            out,
+            edges,
         ),
     }
 }
@@ -250,9 +286,16 @@ pub fn tend_u_del2(
     match backend {
         KernelBackend::Scalar => ops::tend_u_del2(mesh, nu, divergence, vorticity, out, edges),
         KernelBackend::Fused => fused::tend_u_del2(mesh, kc, nu, divergence, vorticity, out, edges),
-        KernelBackend::Simd => {
-            simd::tend_u_del2(mesh, kc, 1, nu, divergence, vorticity, out, edges)
-        }
+        KernelBackend::Simd => simd::tend_u_del2(
+            mesh,
+            kc,
+            lanes(out, &edges),
+            nu,
+            divergence,
+            vorticity,
+            out,
+            edges,
+        ),
     }
 }
 
@@ -269,7 +312,15 @@ pub fn lap_u(
     match backend {
         KernelBackend::Scalar => ops::lap_u(mesh, divergence, vorticity, out, edges),
         KernelBackend::Fused => fused::lap_u(mesh, kc, divergence, vorticity, out, edges),
-        KernelBackend::Simd => simd::lap_u(mesh, kc, 1, divergence, vorticity, out, edges),
+        KernelBackend::Simd => simd::lap_u(
+            mesh,
+            kc,
+            lanes(out, &edges),
+            divergence,
+            vorticity,
+            out,
+            edges,
+        ),
     }
 }
 
@@ -289,7 +340,16 @@ pub fn tend_u_del4(
     match backend {
         KernelBackend::Scalar => ops::tend_u_del4(mesh, nu4, div_lap, vort_lap, out, edges),
         KernelBackend::Fused => fused::tend_u_del4(mesh, kc, nu4, div_lap, vort_lap, out, edges),
-        KernelBackend::Simd => simd::tend_u_del4(mesh, kc, 1, nu4, div_lap, vort_lap, out, edges),
+        KernelBackend::Simd => simd::tend_u_del4(
+            mesh,
+            kc,
+            lanes(out, &edges),
+            nu4,
+            div_lap,
+            vort_lap,
+            out,
+            edges,
+        ),
     }
 }
 
@@ -307,7 +367,7 @@ pub fn d2fdx2(
     match backend {
         KernelBackend::Scalar => ops::d2fdx2(mesh, h, out1, out2, edges),
         KernelBackend::Fused => fused::d2fdx2(mesh, kc, h, out1, out2, edges),
-        KernelBackend::Simd => simd::d2fdx2(mesh, kc, 1, h, out1, out2, edges),
+        KernelBackend::Simd => simd::d2fdx2(mesh, kc, lanes(out1, &edges), h, out1, out2, edges),
     }
 }
 
@@ -335,7 +395,7 @@ pub fn h_edge(
             mesh,
             kc,
             config,
-            1,
+            lanes(out, &edges),
             h,
             d2fdx2_cell1,
             d2fdx2_cell2,
@@ -358,7 +418,7 @@ pub fn tangential_velocity(
         KernelBackend::Scalar | KernelBackend::Fused => {
             ops::tangential_velocity(mesh, u, out, edges)
         }
-        KernelBackend::Simd => simd::tangential_velocity(mesh, 1, u, out, edges),
+        KernelBackend::Simd => simd::tangential_velocity(mesh, lanes(out, &edges), u, out, edges),
     }
 }
 

@@ -1,24 +1,20 @@
 //! The six kernels of Algorithm 1.
 //!
 //! Each Table-I pattern instance is a free function in [`ops`] taking an
-//! explicit output **range**, so the hybrid executors can slice one pattern
-//! across devices (the paper's "adjustable part"). The functions here drive
-//! the full-range serial composition used by the reference model and by
-//! correctness tests.
+//! explicit output **range**, so the executors can slice one pattern
+//! across devices (the paper's "adjustable part"). The one composition of
+//! them into Algorithm 1 is [`crate::model::ShallowWaterModel`]'s step;
+//! [`compute_solve_diagnostics_backend`] runs its diagnostics half alone.
 //!
 //! [`scatter`] holds the original edge-order (irregular-reduction) forms of
 //! the class-A/C reductions — the Fig. 6 "Baseline"/naive-OpenMP story.
 //! [`fused`] holds the precomputed-coefficient fast path driven by
-//! [`crate::coeffs::KernelCoeffs`]; the `*_fused` drivers below compose it
-//! into the same Algorithm 1 call sequence. [`simd`] is the third tier
+//! [`crate::coeffs::KernelCoeffs`]. [`simd`] is the third tier
 //! (DESIGN.md §14): the fused arithmetic replayed per vertical-layer lane
 //! with explicit SIMD inner loops — at one layer it is bit-identical to
 //! the fused tier, which is how [`dispatch`] can offer it to every
-//! executor behind [`crate::config::KernelBackend`].
-//!
-//! The `*_backend` drivers select a whole kernel sequence by backend; the
-//! [`dispatch`] module selects per kernel and per range (what the
-//! threaded/hybrid executors slice across workers).
+//! executor behind [`crate::config::KernelBackend`]. [`dispatch`] selects
+//! the tier per kernel and per range (what the team slices across parts).
 
 pub mod dispatch;
 pub mod fused;
@@ -28,305 +24,13 @@ pub mod simd;
 
 use crate::coeffs::KernelCoeffs;
 use crate::config::{KernelBackend, ModelConfig};
-use crate::reconstruct::ReconstructCoeffs;
-use crate::state::{Diagnostics, Reconstruction, State, Tendencies};
+use crate::state::Diagnostics;
 use mpas_mesh::Mesh;
 
-/// `compute_solve_diagnostics`: refresh every diagnostic field from the
-/// prognostic pair `(h, u)`. `dt` enters only through the APVM upwinding of
-/// `pv_edge`.
-pub fn compute_solve_diagnostics(
-    mesh: &Mesh,
-    config: &ModelConfig,
-    h: &[f64],
-    u: &[f64],
-    f_vertex: &[f64],
-    dt: f64,
-    diag: &mut Diagnostics,
-) {
-    let (nc, ne, nv) = (mesh.n_cells(), mesh.n_edges(), mesh.n_vertices());
-    if config.high_order_h_edge {
-        ops::d2fdx2(
-            mesh,
-            h,
-            &mut diag.d2fdx2_cell1,
-            &mut diag.d2fdx2_cell2,
-            0..ne,
-        );
-    }
-    if config.advection_only {
-        // Williamson TC1: only the thickness flux is needed; the PV chain
-        // would divide by the (possibly zero) tracer thickness.
-        ops::h_edge(
-            mesh,
-            config,
-            h,
-            &diag.d2fdx2_cell1,
-            &diag.d2fdx2_cell2,
-            &mut diag.h_edge,
-            0..ne,
-        );
-        return;
-    }
-    ops::h_edge(
-        mesh,
-        config,
-        h,
-        &diag.d2fdx2_cell1,
-        &diag.d2fdx2_cell2,
-        &mut diag.h_edge,
-        0..ne,
-    );
-    ops::vorticity(mesh, u, &mut diag.vorticity, 0..nv);
-    ops::ke(mesh, u, &mut diag.ke, 0..nc);
-    ops::divergence(mesh, u, &mut diag.divergence, 0..nc);
-    ops::tangential_velocity(mesh, u, &mut diag.v, 0..ne);
-    ops::vorticity_cell(mesh, &diag.vorticity, &mut diag.vorticity_cell, 0..nc);
-    ops::pv_vertex(
-        mesh,
-        h,
-        &diag.vorticity,
-        f_vertex,
-        &mut diag.pv_vertex,
-        0..nv,
-    );
-    ops::pv_cell(mesh, &diag.pv_vertex, &mut diag.pv_cell, 0..nc);
-    ops::pv_edge(
-        mesh,
-        config.apvm_factor,
-        dt,
-        &diag.pv_vertex,
-        &diag.pv_cell,
-        u,
-        &diag.v,
-        &mut diag.pv_edge,
-        0..ne,
-    );
-}
-
-/// [`compute_solve_diagnostics`] on the fused-coefficient fast path: the
-/// same kernel sequence with every fusible op reading `kc` (H1 and E have
-/// nothing to fuse and run the seed forms).
-#[allow(clippy::too_many_arguments)]
-pub fn compute_solve_diagnostics_fused(
-    mesh: &Mesh,
-    config: &ModelConfig,
-    kc: &KernelCoeffs,
-    h: &[f64],
-    u: &[f64],
-    f_vertex: &[f64],
-    dt: f64,
-    diag: &mut Diagnostics,
-) {
-    let (nc, ne, nv) = (mesh.n_cells(), mesh.n_edges(), mesh.n_vertices());
-    if config.high_order_h_edge {
-        fused::d2fdx2(
-            mesh,
-            kc,
-            h,
-            &mut diag.d2fdx2_cell1,
-            &mut diag.d2fdx2_cell2,
-            0..ne,
-        );
-    }
-    fused::h_edge(
-        mesh,
-        kc,
-        config,
-        h,
-        &diag.d2fdx2_cell1,
-        &diag.d2fdx2_cell2,
-        &mut diag.h_edge,
-        0..ne,
-    );
-    if config.advection_only {
-        return;
-    }
-    fused::vorticity(mesh, kc, u, &mut diag.vorticity, 0..nv);
-    fused::ke(mesh, kc, u, &mut diag.ke, 0..nc);
-    fused::divergence(mesh, kc, u, &mut diag.divergence, 0..nc);
-    ops::tangential_velocity(mesh, u, &mut diag.v, 0..ne);
-    fused::vorticity_cell(mesh, kc, &diag.vorticity, &mut diag.vorticity_cell, 0..nc);
-    ops::pv_vertex(
-        mesh,
-        h,
-        &diag.vorticity,
-        f_vertex,
-        &mut diag.pv_vertex,
-        0..nv,
-    );
-    fused::pv_cell(mesh, kc, &diag.pv_vertex, &mut diag.pv_cell, 0..nc);
-    fused::pv_edge(
-        mesh,
-        kc,
-        config.apvm_factor,
-        dt,
-        &diag.pv_vertex,
-        &diag.pv_cell,
-        u,
-        &diag.v,
-        &mut diag.pv_edge,
-        0..ne,
-    );
-}
-
-/// `compute_tend`: thickness and momentum tendencies from the current
-/// provisional state and its diagnostics.
-pub fn compute_tend(
-    mesh: &Mesh,
-    config: &ModelConfig,
-    h: &[f64],
-    u: &[f64],
-    b: &[f64],
-    diag: &Diagnostics,
-    tend: &mut Tendencies,
-) {
-    let (nc, ne) = (mesh.n_cells(), mesh.n_edges());
-    ops::tend_h(mesh, u, &diag.h_edge, &mut tend.tend_h, 0..nc);
-    if config.advection_only {
-        tend.tend_u.fill(0.0);
-        return;
-    }
-    ops::tend_u(
-        mesh,
-        config.gravity,
-        &diag.pv_edge,
-        u,
-        &diag.h_edge,
-        &diag.ke,
-        h,
-        b,
-        &mut tend.tend_u,
-        0..ne,
-    );
-    if config.del2_viscosity != 0.0 {
-        ops::tend_u_del2(
-            mesh,
-            config.del2_viscosity,
-            &diag.divergence,
-            &diag.vorticity,
-            &mut tend.tend_u,
-            0..ne,
-        );
-    }
-    if config.del4_viscosity != 0.0 {
-        // Chained C1 application: lap(u) from the existing div/vorticity
-        // diagnostics, then the divergence/curl of that Laplacian.
-        let nv = mesh.n_vertices();
-        let mut lap = vec![0.0; ne];
-        ops::lap_u(mesh, &diag.divergence, &diag.vorticity, &mut lap, 0..ne);
-        let mut div_lap = vec![0.0; nc];
-        ops::divergence(mesh, &lap, &mut div_lap, 0..nc);
-        let mut vort_lap = vec![0.0; nv];
-        ops::vorticity(mesh, &lap, &mut vort_lap, 0..nv);
-        ops::tend_u_del4(
-            mesh,
-            config.del4_viscosity,
-            &div_lap,
-            &vort_lap,
-            &mut tend.tend_u,
-            0..ne,
-        );
-    }
-}
-
-/// [`compute_tend`] on the fused-coefficient fast path.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_tend_fused(
-    mesh: &Mesh,
-    config: &ModelConfig,
-    kc: &KernelCoeffs,
-    h: &[f64],
-    u: &[f64],
-    b: &[f64],
-    diag: &Diagnostics,
-    tend: &mut Tendencies,
-) {
-    let (nc, ne) = (mesh.n_cells(), mesh.n_edges());
-    fused::tend_h(mesh, kc, u, &diag.h_edge, &mut tend.tend_h, 0..nc);
-    if config.advection_only {
-        tend.tend_u.fill(0.0);
-        return;
-    }
-    fused::tend_u(
-        mesh,
-        kc,
-        config.gravity,
-        &diag.pv_edge,
-        u,
-        &diag.h_edge,
-        &diag.ke,
-        h,
-        b,
-        &mut tend.tend_u,
-        0..ne,
-    );
-    if config.del2_viscosity != 0.0 {
-        fused::tend_u_del2(
-            mesh,
-            kc,
-            config.del2_viscosity,
-            &diag.divergence,
-            &diag.vorticity,
-            &mut tend.tend_u,
-            0..ne,
-        );
-    }
-    if config.del4_viscosity != 0.0 {
-        let nv = mesh.n_vertices();
-        let mut lap = vec![0.0; ne];
-        fused::lap_u(mesh, kc, &diag.divergence, &diag.vorticity, &mut lap, 0..ne);
-        let mut div_lap = vec![0.0; nc];
-        fused::divergence(mesh, kc, &lap, &mut div_lap, 0..nc);
-        let mut vort_lap = vec![0.0; nv];
-        fused::vorticity(mesh, kc, &lap, &mut vort_lap, 0..nv);
-        fused::tend_u_del4(
-            mesh,
-            kc,
-            config.del4_viscosity,
-            &div_lap,
-            &vort_lap,
-            &mut tend.tend_u,
-            0..ne,
-        );
-    }
-}
-
-/// `compute_tend_tracers`: flux-form advection tendency (pattern T1) for
-/// every tracer-mass field, from the same-stage `(h, u)` and its `h_edge`.
-pub fn compute_tend_tracers(
-    mesh: &Mesh,
-    h: &[f64],
-    u: &[f64],
-    diag: &Diagnostics,
-    tracers: &[Vec<f64>],
-    tend: &mut Tendencies,
-) {
-    let nc = mesh.n_cells();
-    for (hq, out) in tracers.iter().zip(tend.tend_tracers.iter_mut()) {
-        ops::tend_tracer(mesh, u, &diag.h_edge, h, hq, out, 0..nc);
-    }
-}
-
-/// [`compute_tend_tracers`] on the fused-coefficient fast path.
-pub fn compute_tend_tracers_fused(
-    mesh: &Mesh,
-    kc: &KernelCoeffs,
-    h: &[f64],
-    u: &[f64],
-    diag: &Diagnostics,
-    tracers: &[Vec<f64>],
-    tend: &mut Tendencies,
-) {
-    let nc = mesh.n_cells();
-    for (hq, out) in tracers.iter().zip(tend.tend_tracers.iter_mut()) {
-        fused::tend_tracer(mesh, kc, u, &diag.h_edge, h, hq, out, 0..nc);
-    }
-}
-
-/// [`compute_solve_diagnostics`] on the configured backend: the scalar
-/// seed path, the fused-coefficient path, or the simd tier at one layer
-/// (bit-identical to fused — DESIGN.md §14).
+/// `compute_solve_diagnostics` on `backend`: refresh every diagnostic field
+/// from the prognostic pair `(h, u)` with the model's own kernel sequence on
+/// a one-part team. `dt` enters only through the APVM upwinding of
+/// `pv_edge`; the length of `h` sets the lane count.
 #[allow(clippy::too_many_arguments)]
 pub fn compute_solve_diagnostics_backend(
     backend: KernelBackend,
@@ -339,279 +43,67 @@ pub fn compute_solve_diagnostics_backend(
     dt: f64,
     diag: &mut Diagnostics,
 ) {
-    match backend {
-        KernelBackend::Scalar => compute_solve_diagnostics(mesh, config, h, u, f_vertex, dt, diag),
-        KernelBackend::Fused => {
-            compute_solve_diagnostics_fused(mesh, config, kc, h, u, f_vertex, dt, diag)
-        }
-        KernelBackend::Simd => {
-            let (nc, ne, nv) = (mesh.n_cells(), mesh.n_edges(), mesh.n_vertices());
-            if config.high_order_h_edge {
-                simd::d2fdx2(
-                    mesh,
-                    kc,
-                    1,
-                    h,
-                    &mut diag.d2fdx2_cell1,
-                    &mut diag.d2fdx2_cell2,
-                    0..ne,
-                );
-            }
-            simd::h_edge(
-                mesh,
-                kc,
-                config,
-                1,
-                h,
-                &diag.d2fdx2_cell1,
-                &diag.d2fdx2_cell2,
-                &mut diag.h_edge,
-                0..ne,
-            );
-            if config.advection_only {
-                return;
-            }
-            // The fused sweeps (C2+E, A2+B2, H1+G) store exactly the bits
-            // of the standalone kernels while sharing their gathers.
-            simd::vorticity_pv(
-                mesh,
-                kc,
-                1,
-                u,
-                h,
-                f_vertex,
-                &mut diag.vorticity,
-                &mut diag.pv_vertex,
-                0..nv,
-            );
-            simd::ke_divergence(mesh, kc, 1, u, &mut diag.ke, &mut diag.divergence, 0..nc);
-            simd::kite_average(
-                mesh,
-                kc,
-                1,
-                &diag.vorticity,
-                &mut diag.vorticity_cell,
-                0..nc,
-            );
-            simd::kite_average(mesh, kc, 1, &diag.pv_vertex, &mut diag.pv_cell, 0..nc);
-            simd::tangential_pv_edge(
-                mesh,
-                kc,
-                1,
-                config.apvm_factor,
-                dt,
-                &diag.pv_vertex,
-                &diag.pv_cell,
-                u,
-                &mut diag.v,
-                &mut diag.pv_edge,
-                0..ne,
-            );
-        }
-    }
-}
-
-/// [`compute_tend`] on the configured backend.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_tend_backend(
-    backend: KernelBackend,
-    mesh: &Mesh,
-    config: &ModelConfig,
-    kc: &KernelCoeffs,
-    h: &[f64],
-    u: &[f64],
-    b: &[f64],
-    diag: &Diagnostics,
-    tend: &mut Tendencies,
-) {
-    match backend {
-        KernelBackend::Scalar => compute_tend(mesh, config, h, u, b, diag, tend),
-        KernelBackend::Fused => compute_tend_fused(mesh, config, kc, h, u, b, diag, tend),
-        KernelBackend::Simd => {
-            let (nc, ne) = (mesh.n_cells(), mesh.n_edges());
-            simd::tend_h(mesh, kc, 1, u, &diag.h_edge, &mut tend.tend_h, 0..nc);
-            if config.advection_only {
-                tend.tend_u.fill(0.0);
-                return;
-            }
-            simd::tend_u(
-                mesh,
-                kc,
-                1,
-                config.gravity,
-                &diag.pv_edge,
-                u,
-                &diag.h_edge,
-                &diag.ke,
-                h,
-                b,
-                &mut tend.tend_u,
-                0..ne,
-            );
-            if config.del2_viscosity != 0.0 {
-                simd::tend_u_del2(
-                    mesh,
-                    kc,
-                    1,
-                    config.del2_viscosity,
-                    &diag.divergence,
-                    &diag.vorticity,
-                    &mut tend.tend_u,
-                    0..ne,
-                );
-            }
-            if config.del4_viscosity != 0.0 {
-                let nv = mesh.n_vertices();
-                let mut lap = vec![0.0; ne];
-                simd::lap_u(
-                    mesh,
-                    kc,
-                    1,
-                    &diag.divergence,
-                    &diag.vorticity,
-                    &mut lap,
-                    0..ne,
-                );
-                let mut div_lap = vec![0.0; nc];
-                simd::divergence(mesh, kc, 1, &lap, &mut div_lap, 0..nc);
-                let mut vort_lap = vec![0.0; nv];
-                simd::vorticity(mesh, kc, 1, &lap, &mut vort_lap, 0..nv);
-                simd::tend_u_del4(
-                    mesh,
-                    kc,
-                    1,
-                    config.del4_viscosity,
-                    &div_lap,
-                    &vort_lap,
-                    &mut tend.tend_u,
-                    0..ne,
-                );
-            }
-        }
-    }
-}
-
-/// [`compute_tend_tracers`] on the configured backend.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_tend_tracers_backend(
-    backend: KernelBackend,
-    mesh: &Mesh,
-    kc: &KernelCoeffs,
-    h: &[f64],
-    u: &[f64],
-    diag: &Diagnostics,
-    tracers: &[Vec<f64>],
-    tend: &mut Tendencies,
-) {
-    match backend {
-        KernelBackend::Scalar => compute_tend_tracers(mesh, h, u, diag, tracers, tend),
-        KernelBackend::Fused => compute_tend_tracers_fused(mesh, kc, h, u, diag, tracers, tend),
-        KernelBackend::Simd => {
-            let nc = mesh.n_cells();
-            for (hq, out) in tracers.iter().zip(tend.tend_tracers.iter_mut()) {
-                simd::tend_tracer(mesh, kc, 1, u, &diag.h_edge, h, hq, out, 0..nc);
-            }
-        }
-    }
-}
-
-/// `apply_forcing`: add a fixed forcing tendency to the stage tendencies
-/// (`tend += 1.0·f`, pattern F1). Element-wise with an exact weight, so any
-/// chunking of the output range reproduces the same bits.
-pub fn apply_forcing(mesh: &Mesh, forcing: &Tendencies, tend: &mut Tendencies) {
-    ops::accumulate(&forcing.tend_h, 1.0, &mut tend.tend_h, 0..mesh.n_cells());
-    ops::accumulate(&forcing.tend_u, 1.0, &mut tend.tend_u, 0..mesh.n_edges());
-}
-
-/// `enforce_boundary_edge`: zero the velocity tendency on boundary edges
-/// (a no-op on the full sphere, kept for kernel-set fidelity).
-pub fn enforce_boundary_edge(mesh: &Mesh, tend: &mut Tendencies) {
-    ops::enforce_boundary(mesh, &mut tend.tend_u, 0..mesh.n_edges());
-}
-
-/// `compute_next_substep_state`: `provis = base + coef * tend`.
-pub fn compute_next_substep_state(
-    mesh: &Mesh,
-    base: &State,
-    tend: &Tendencies,
-    coef: f64,
-    provis: &mut State,
-) {
-    ops::axpy(
-        &base.h,
-        &tend.tend_h,
-        coef,
-        &mut provis.h,
-        0..mesh.n_cells(),
-    );
-    ops::axpy(
-        &base.u,
-        &tend.tend_u,
-        coef,
-        &mut provis.u,
-        0..mesh.n_edges(),
-    );
-    let nc = mesh.n_cells();
-    for ((b, t), p) in base
-        .tracers
-        .iter()
-        .zip(&tend.tend_tracers)
-        .zip(provis.tracers.iter_mut())
-    {
-        ops::axpy(b, t, coef, p, 0..nc);
-    }
-}
-
-/// `accumulative_update`: `acc += weight * tend` (the RK quadrature).
-pub fn accumulative_update(mesh: &Mesh, tend: &Tendencies, weight: f64, acc: &mut State) {
-    ops::accumulate(&tend.tend_h, weight, &mut acc.h, 0..mesh.n_cells());
-    ops::accumulate(&tend.tend_u, weight, &mut acc.u, 0..mesh.n_edges());
-    let nc = mesh.n_cells();
-    for (t, a) in tend.tend_tracers.iter().zip(acc.tracers.iter_mut()) {
-        ops::accumulate(t, weight, a, 0..nc);
-    }
-}
-
-/// `mpas_reconstruct`: cell-center velocity vectors and their
-/// zonal/meridional decomposition.
-pub fn mpas_reconstruct(
-    mesh: &Mesh,
-    coeffs: &ReconstructCoeffs,
-    u: &[f64],
-    recon: &mut Reconstruction,
-) {
-    let nc = mesh.n_cells();
-    ops::reconstruct_xyz(
-        mesh,
-        coeffs,
-        u,
-        &mut recon.ux,
-        &mut recon.uy,
-        &mut recon.uz,
-        0..nc,
-    );
-    ops::zonal_meridional(
-        mesh,
-        &recon.ux,
-        &recon.uy,
-        &recon.uz,
-        &mut recon.zonal,
-        &mut recon.meridional,
-        0..nc,
-    );
+    let config = ModelConfig {
+        kernel_backend: backend,
+        ..*config
+    };
+    crate::model::solve_diagnostics_inline(mesh, &config, kc, h, u, f_vertex, dt, diag);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::stage_tendencies;
+    use crate::state::Tendencies;
 
     fn setup() -> (Mesh, ModelConfig, Vec<f64>) {
         let mesh = mpas_mesh::generate(3, 0);
-        let config = ModelConfig::default();
+        let config = ModelConfig {
+            kernel_backend: KernelBackend::Scalar,
+            ..Default::default()
+        };
         let f_vertex: Vec<f64> = (0..mesh.n_vertices())
             .map(|v| 2.0 * mpas_geom::OMEGA * mesh.x_vertex[v].z)
             .collect();
         (mesh, config, f_vertex)
+    }
+
+    /// Seed-kernel diagnostics and stage tendencies of `(h, u)`.
+    #[allow(clippy::too_many_arguments)]
+    fn tendencies(
+        mesh: &Mesh,
+        config: &ModelConfig,
+        h: &[f64],
+        u: &[f64],
+        b: &[f64],
+        f_vertex: &[f64],
+        dt: f64,
+    ) -> (Diagnostics, Tendencies) {
+        let kc = KernelCoeffs::build(mesh, config);
+        stage_tendencies(mesh, config, &kc, h, u, b, f_vertex, dt)
+    }
+
+    fn solve_diagnostics(
+        mesh: &Mesh,
+        config: &ModelConfig,
+        h: &[f64],
+        u: &[f64],
+        f_vertex: &[f64],
+        dt: f64,
+        diag: &mut Diagnostics,
+    ) {
+        let kc = KernelCoeffs::build(mesh, config);
+        compute_solve_diagnostics_backend(
+            KernelBackend::Scalar,
+            mesh,
+            config,
+            &kc,
+            h,
+            u,
+            f_vertex,
+            dt,
+            diag,
+        );
     }
 
     #[test]
@@ -625,10 +117,7 @@ mod tests {
             .map(|e| (e as f64 * 0.1).cos())
             .collect();
         let b = vec![0.0; mesh.n_cells()];
-        let mut diag = Diagnostics::zeros(&mesh);
-        compute_solve_diagnostics(&mesh, &config, &h, &u, &f_vertex, 100.0, &mut diag);
-        let mut tend = Tendencies::zeros(&mesh);
-        compute_tend(&mesh, &config, &h, &u, &b, &diag, &mut tend);
+        let (_, tend) = tendencies(&mesh, &config, &h, &u, &b, &f_vertex, 100.0);
         let total: f64 = (0..mesh.n_cells())
             .map(|i| tend.tend_h[i] * mesh.area_cell[i])
             .sum();
@@ -679,10 +168,7 @@ mod tests {
         let h = vec![1000.0; mesh.n_cells()];
         let u = vec![0.0; mesh.n_edges()];
         let b = vec![0.0; mesh.n_cells()];
-        let mut diag = Diagnostics::zeros(&mesh);
-        compute_solve_diagnostics(&mesh, &config, &h, &u, &f_vertex, 100.0, &mut diag);
-        let mut tend = Tendencies::zeros(&mesh);
-        compute_tend(&mesh, &config, &h, &u, &b, &diag, &mut tend);
+        let (_, tend) = tendencies(&mesh, &config, &h, &u, &b, &f_vertex, 100.0);
         let wh = tend.tend_h.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
         let wu = tend.tend_u.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
         assert!(wh == 0.0, "tend_h {wh}");
@@ -698,10 +184,7 @@ mod tests {
             .collect();
         let h: Vec<f64> = b.iter().map(|&bi| 1000.0 - bi).collect();
         let u = vec![0.0; mesh.n_edges()];
-        let mut diag = Diagnostics::zeros(&mesh);
-        compute_solve_diagnostics(&mesh, &config, &h, &u, &f_vertex, 100.0, &mut diag);
-        let mut tend = Tendencies::zeros(&mesh);
-        compute_tend(&mesh, &config, &h, &u, &b, &diag, &mut tend);
+        let (_, tend) = tendencies(&mesh, &config, &h, &u, &b, &f_vertex, 100.0);
         let wu = tend.tend_u.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
         assert!(wu < 1e-9, "tend_u {wu}");
     }
@@ -709,7 +192,10 @@ mod tests {
     #[test]
     fn high_order_h_edge_close_to_midpoint_average_on_smooth_field() {
         let (mesh, _c, _f) = setup();
-        let mut config = ModelConfig::default();
+        let mut config = ModelConfig {
+            kernel_backend: KernelBackend::Scalar,
+            ..Default::default()
+        };
         let h: Vec<f64> = (0..mesh.n_cells())
             .map(|i| 5000.0 + 100.0 * mesh.x_cell[i].z)
             .collect();
@@ -717,10 +203,10 @@ mod tests {
         let f_vertex = vec![0.0; mesh.n_vertices()];
         let mut d2 = Diagnostics::zeros(&mesh);
         config.high_order_h_edge = true;
-        compute_solve_diagnostics(&mesh, &config, &h, &u, &f_vertex, 1.0, &mut d2);
+        solve_diagnostics(&mesh, &config, &h, &u, &f_vertex, 1.0, &mut d2);
         let mut d1 = Diagnostics::zeros(&mesh);
         config.high_order_h_edge = false;
-        compute_solve_diagnostics(&mesh, &config, &h, &u, &f_vertex, 1.0, &mut d1);
+        solve_diagnostics(&mesh, &config, &h, &u, &f_vertex, 1.0, &mut d1);
         for e in 0..mesh.n_edges() {
             let rel = (d2.h_edge[e] - d1.h_edge[e]).abs() / d1.h_edge[e];
             assert!(rel < 1e-3, "edge {e} rel {rel}");
@@ -734,11 +220,10 @@ mod tests {
         let (mut mesh, _c, _f) = setup();
         mesh.boundary_edge[3] = true;
         mesh.boundary_edge[17] = true;
-        let mut tend = Tendencies::zeros(&mesh);
-        tend.tend_u.fill(1.0);
-        enforce_boundary_edge(&mesh, &mut tend);
-        assert_eq!(tend.tend_u[3], 0.0);
-        assert_eq!(tend.tend_u[17], 0.0);
-        assert_eq!(tend.tend_u[4], 1.0);
+        let mut tend_u = vec![1.0; mesh.n_edges()];
+        ops::enforce_boundary(&mesh, &mut tend_u, 0..mesh.n_edges());
+        assert_eq!(tend_u[3], 0.0);
+        assert_eq!(tend_u[17], 0.0);
+        assert_eq!(tend_u[4], 1.0);
     }
 }

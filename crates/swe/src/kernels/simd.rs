@@ -29,12 +29,6 @@
 //! Setting the environment variable `MPAS_SIMD_FORCE_SCALAR` (to anything
 //! but `0`) pins every dispatch to the scalar-batch path — CI runs the
 //! same simulation both ways and asserts bitwise-identical results.
-//!
-//! [`block_ranges`] tiles a sweep's index space into cache-sized blocks;
-//! with the SFC ordering from `mpas_mesh::reorder` renumbering entities
-//! along a space-filling curve, iterating cell blocks in index order *is*
-//! tiling the curve, so a block's gathered edge/vertex neighborhoods stay
-//! L2-resident across the kernels of a substep.
 
 use crate::coeffs::KernelCoeffs;
 use crate::config::ModelConfig;
@@ -93,23 +87,6 @@ pub fn active_mode() -> SimdMode {
 /// True iff the explicit-intrinsics path is active (telemetry label).
 pub fn simd_active() -> bool {
     active_mode() == SimdMode::Avx2
-}
-
-/// Tile `0..n` into consecutive blocks of at most `block` entities
-/// (`block` is clamped to ≥ 1; the last block may be short). Every index
-/// appears in exactly one block, in order — so a blocked sweep visits the
-/// same entities in the same order as an unblocked one.
-pub fn block_ranges(n: usize, block: usize) -> impl Iterator<Item = Range<usize>> {
-    let b = block.max(1);
-    (0..n.div_ceil(b)).map(move |i| (i * b)..((i * b + b).min(n)))
-}
-
-/// An L2-sized default cell-block length for a sweep touching `streams`
-/// layered f64 fields at `k` lanes per cell (≈256 KiB of L2 kept for the
-/// block's working set, clamped to a sane range).
-pub fn default_cell_block(k: usize, streams: usize) -> usize {
-    const L2_BYTES: usize = 256 * 1024;
-    (L2_BYTES / (8 * k.max(1) * streams.max(1))).clamp(64, 1 << 20)
 }
 
 // ---------------------------------------------------------------------
@@ -2037,23 +2014,6 @@ mod tests {
     }
 
     #[test]
-    fn block_ranges_tile_exactly() {
-        for (n, b) in [(10, 3), (10, 1), (10, 10), (10, 100), (0, 4), (7, 7)] {
-            let mut seen = vec![0usize; n];
-            let mut last_end = 0;
-            for r in block_ranges(n, b) {
-                assert_eq!(r.start, last_end, "blocks must be consecutive");
-                last_end = r.end;
-                for i in r {
-                    seen[i] += 1;
-                }
-            }
-            assert_eq!(last_end, n);
-            assert!(seen.iter().all(|&c| c == 1), "n={n} b={b}: {seen:?}");
-        }
-    }
-
-    #[test]
     fn blocked_sweep_is_bitwise_identical() {
         let k = 4;
         let (mesh, kc, u, he) = setup(k);
@@ -2062,19 +2022,13 @@ mod tests {
         tend_h(&mesh, &kc, k, &u, &he, &mut full, 0..nc);
         for block in [1usize, 5, 64, nc, nc + 13] {
             let mut tiled = vec![0.0; nc * k];
-            for r in block_ranges(nc, block) {
-                let (s, e) = (r.start, r.end);
-                tend_h(&mesh, &kc, k, &u, &he, &mut tiled[s * k..e * k], r);
+            // Window-relative output over any sub-range: what a team part
+            // hands a kernel.
+            for s in (0..nc).step_by(block) {
+                let e = (s + block).min(nc);
+                tend_h(&mesh, &kc, k, &u, &he, &mut tiled[s * k..e * k], s..e);
             }
             assert_eq!(full, tiled, "block={block}");
         }
-    }
-
-    #[test]
-    fn default_cell_block_is_sane() {
-        assert!(default_cell_block(1, 4) >= 64);
-        assert!(default_cell_block(4, 8) >= 64);
-        assert!(default_cell_block(1000, 1000) >= 64);
-        assert!(default_cell_block(1, 1) <= 1 << 20);
     }
 }

@@ -24,10 +24,12 @@
 //!   explicit output ranges, one per Table-I pattern instance, so executors
 //!   can slice them across devices. Includes the original scatter
 //!   (edge-order) forms used as the Fig. 6 baseline.
-//! * [`rk4`] — the RK-4 driver (Algorithm 1).
-//! * [`layers`] — the k-layer SoA state generalization and the serial
-//!   SIMD driver with cache-blocked sweeps (DESIGN.md §14).
-//! * [`model`] — a convenient single-address-space model facade.
+//! * [`rk4`] — the RK-4 tableau (Algorithm 1).
+//! * [`layers`] — the k-layer lane layout (DESIGN.md §14).
+//! * [`team`] — the persistent worker team every range op runs on.
+//! * [`model`] — the one model: one state layout and one RK-4 stepper for
+//!   every executor (serial, threaded, hybrid, a distributed rank) and
+//!   every layer count.
 //! * [`testcases`] — Williamson et al. (1992) test cases 1–6 plus the
 //!   Galewsky et al. (2004) barotropic-instability case and passive
 //!   tracer initial fields.
@@ -46,6 +48,7 @@ pub mod norms;
 pub mod reconstruct;
 pub mod rk4;
 pub mod state;
+pub mod team;
 pub mod testcases;
 pub mod timeseries;
 pub mod validation;
@@ -53,12 +56,12 @@ pub mod validation;
 pub use checkpoint::{load_state, save_state};
 pub use coeffs::KernelCoeffs;
 pub use config::{KernelBackend, ModelConfig};
-pub use layers::{layer_h_scale, LayeredModel, LayeredState};
+pub use layers::layer_h_scale;
 pub use model::ShallowWaterModel;
 pub use norms::ErrorNorms;
 pub use reconstruct::ReconstructCoeffs;
-pub use rk4::Rk4Workspace;
 pub use state::{Diagnostics, Reconstruction, State, Tendencies};
+pub use team::Team;
 pub use testcases::TestCase;
 pub use timeseries::{run_with_history, History};
 pub use validation::{Scenario, ValidationReport};

@@ -1,130 +1,16 @@
-//! The RK-4 time-stepping driver (the paper's Algorithm 1).
+//! The RK-4 tableau of the paper's Algorithm 1.
 //!
 //! Classical fourth-order Runge–Kutta in the MPAS formulation: provisional
-//! states at `dt/2, dt/2, dt` and quadrature weights `1/6, 1/3, 1/3, 1/6`,
-//! with the kernel call sequence exactly as Algorithm 1 lists it (including
-//! the branch at the fourth substep where the accumulation precedes the
-//! diagnostics and the velocity reconstruction runs).
-
-use crate::coeffs::KernelCoeffs;
-use crate::config::ModelConfig;
-use crate::kernels;
-use crate::reconstruct::ReconstructCoeffs;
-use crate::state::{Diagnostics, Reconstruction, State, Tendencies};
-use mpas_mesh::Mesh;
+//! states at `dt/2, dt/2, dt` and quadrature weights `1/6, 1/3, 1/3, 1/6`.
+//! [`crate::model::ShallowWaterModel::step_with`] is the one stage loop
+//! that applies them, with the kernel call sequence as Algorithm 1 lists it
+//! (including the branch at the fourth substep where the accumulation
+//! precedes the diagnostics and the velocity reconstruction runs).
 
 /// RK substep coefficients: provisional-state factors (×dt).
 pub const RK_SUBSTEP: [f64; 3] = [0.5, 0.5, 1.0];
 /// RK quadrature weights (×dt).
 pub const RK_WEIGHTS: [f64; 4] = [1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0];
-
-/// Scratch storage reused across steps (no per-step allocation).
-#[derive(Debug, Clone)]
-pub struct Rk4Workspace {
-    /// Provisional substep state.
-    pub provis: State,
-    /// Stage tendencies.
-    pub tend: Tendencies,
-    /// Accumulated (quadrature) state.
-    pub acc: State,
-}
-
-impl Rk4Workspace {
-    /// Allocate a workspace for a mesh.
-    pub fn new(mesh: &Mesh) -> Self {
-        Rk4Workspace {
-            provis: State::zeros(mesh),
-            tend: Tendencies::zeros(mesh),
-            acc: State::zeros(mesh),
-        }
-    }
-}
-
-/// Advance `state` by one RK-4 step of size `dt`.
-///
-/// On entry `diag` must hold the diagnostics of `state` (as maintained by
-/// this function and established once by the model constructor); on exit
-/// `state`, `diag` and `recon` all describe the new time level.
-///
-/// `forcing`, when present, is a fixed tendency added to every stage's
-/// `(tend_h, tend_u)` — the forced-case (Williamson 4) equilibrium hold.
-/// Tracer-mass fields in `state` are advanced alongside `h` with the T1
-/// kernel; the workspace is resized lazily if the tracer count changed.
-#[allow(clippy::too_many_arguments)]
-pub fn rk4_step(
-    mesh: &Mesh,
-    config: &ModelConfig,
-    coeffs: &ReconstructCoeffs,
-    kcoeffs: &KernelCoeffs,
-    f_vertex: &[f64],
-    b: &[f64],
-    forcing: Option<&Tendencies>,
-    dt: f64,
-    state: &mut State,
-    diag: &mut Diagnostics,
-    recon: &mut Reconstruction,
-    ws: &mut Rk4Workspace,
-) {
-    if ws.tend.tend_tracers.len() != state.n_tracers() {
-        ws.tend.resize_tracers(mesh.n_cells(), state.n_tracers());
-    }
-    ws.acc.copy_from(state);
-    ws.provis.copy_from(state);
-    let backend = config.kernel_backend;
-    let solve_diag = |h: &[f64], u: &[f64], diag: &mut Diagnostics| {
-        kernels::compute_solve_diagnostics_backend(
-            backend, mesh, config, kcoeffs, h, u, f_vertex, dt, diag,
-        );
-    };
-
-    for stage in 0..4 {
-        // compute_tend on the provisional state and its diagnostics.
-        kernels::compute_tend_backend(
-            backend,
-            mesh,
-            config,
-            kcoeffs,
-            &ws.provis.h,
-            &ws.provis.u,
-            b,
-            diag,
-            &mut ws.tend,
-        );
-        if !ws.provis.tracers.is_empty() {
-            kernels::compute_tend_tracers_backend(
-                backend,
-                mesh,
-                kcoeffs,
-                &ws.provis.h,
-                &ws.provis.u,
-                diag,
-                &ws.provis.tracers,
-                &mut ws.tend,
-            );
-        }
-        if let Some(f) = forcing {
-            kernels::apply_forcing(mesh, f, &mut ws.tend);
-        }
-        kernels::enforce_boundary_edge(mesh, &mut ws.tend);
-
-        if stage < 3 {
-            kernels::compute_next_substep_state(
-                mesh,
-                state,
-                &ws.tend,
-                RK_SUBSTEP[stage] * dt,
-                &mut ws.provis,
-            );
-            solve_diag(&ws.provis.h, &ws.provis.u, diag);
-            kernels::accumulative_update(mesh, &ws.tend, RK_WEIGHTS[stage] * dt, &mut ws.acc);
-        } else {
-            kernels::accumulative_update(mesh, &ws.tend, RK_WEIGHTS[stage] * dt, &mut ws.acc);
-            state.copy_from(&ws.acc);
-            solve_diag(&state.h, &state.u, diag);
-            kernels::mpas_reconstruct(mesh, coeffs, &state.u, recon);
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -145,7 +31,7 @@ mod tests {
     }
 
     /// Scalar convergence check of the same Butcher tableau: integrate
-    /// y' = λ y with the (substep, weight) wiring used by `rk4_step` and
+    /// y' = λ y with the (substep, weight) wiring the model's step uses and
     /// confirm 4th-order accuracy.
     #[test]
     fn tableau_is_fourth_order_on_scalar_ode() {

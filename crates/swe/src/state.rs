@@ -2,9 +2,20 @@
 //! reconstructed cell-center velocities.
 //!
 //! All fields are flat `Vec<f64>` (structure-of-arrays) indexed by the mesh
-//! entity id, the layout the kernels' hot loops expect.
+//! entity id, the layout the kernels' hot loops expect. A model of `k`
+//! vertical layers stores them as `k` contiguous lanes per entity,
+//! `field[entity * k + lane]` (DESIGN.md §14); `k = 1` is the plain
+//! single-layer layout.
 
+use crate::layers::layer_h_scale;
 use mpas_mesh::Mesh;
+
+/// Copy lane `l` of a `k`-lane field into a single-lane one.
+fn take_lane(src: &[f64], k: usize, l: usize, dst: &mut [f64]) {
+    for (i, d) in dst.iter_mut().enumerate() {
+        *d = src[i * k + l];
+    }
+}
 
 /// Prognostic variables of the shallow-water system.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,10 +38,56 @@ impl State {
 
     /// Zero-initialized state with `n_tracers` tracer-mass fields.
     pub fn zeros_with_tracers(mesh: &Mesh, n_tracers: usize) -> Self {
+        Self::with_lanes(mesh, 1, n_tracers)
+    }
+
+    /// Zero-initialized state of `k` lanes per entity with `n_tracers`
+    /// tracer-mass fields.
+    pub(crate) fn with_lanes(mesh: &Mesh, k: usize, n_tracers: usize) -> Self {
         State {
-            h: vec![0.0; mesh.n_cells()],
-            u: vec![0.0; mesh.n_edges()],
-            tracers: vec![vec![0.0; mesh.n_cells()]; n_tracers],
+            h: vec![0.0; mesh.n_cells() * k],
+            u: vec![0.0; mesh.n_edges() * k],
+            tracers: vec![vec![0.0; mesh.n_cells() * k]; n_tracers],
+        }
+    }
+
+    /// Broadcast a single-lane state across `k` lanes, scaling `h` and the
+    /// tracer masses of lane `l` by [`layer_h_scale`]`(l)` (velocity is
+    /// shared unscaled). Lane 0 reproduces `flat` exactly.
+    pub fn broadcast(mesh: &Mesh, flat: &State, k: usize) -> Self {
+        let mut s = Self::with_lanes(mesh, k, flat.n_tracers());
+        let lanes = |dst: &mut [f64], src: &[f64], scaled: bool| {
+            for (i, &x) in src.iter().enumerate() {
+                for l in 0..k {
+                    dst[i * k + l] = if scaled { x * layer_h_scale(l) } else { x };
+                }
+            }
+        };
+        lanes(&mut s.h, &flat.h, true);
+        lanes(&mut s.u, &flat.u, false);
+        for (dst, src) in s.tracers.iter_mut().zip(&flat.tracers) {
+            lanes(dst, src, true);
+        }
+        s
+    }
+
+    /// Extract lane `l` of a multi-lane state as a single-lane one (the
+    /// lane count is `h.len() / mesh.n_cells()`).
+    pub fn extract_layer(&self, mesh: &Mesh, l: usize) -> State {
+        let mut flat = State::zeros_with_tracers(mesh, self.n_tracers());
+        self.extract_layer_into(mesh, l, &mut flat);
+        flat
+    }
+
+    /// [`State::extract_layer`] into an existing single-lane state.
+    pub(crate) fn extract_layer_into(&self, mesh: &Mesh, l: usize, flat: &mut State) {
+        let k = self.h.len() / mesh.n_cells();
+        assert!(l < k, "layer {l} out of {k}");
+        take_lane(&self.h, k, l, &mut flat.h);
+        take_lane(&self.u, k, l, &mut flat.u);
+        flat.resize_tracers(mesh.n_cells(), self.n_tracers());
+        for (dst, src) in flat.tracers.iter_mut().zip(&self.tracers) {
+            take_lane(src, k, l, dst);
         }
     }
 
@@ -105,7 +162,16 @@ pub struct Diagnostics {
 impl Diagnostics {
     /// Zero-initialized diagnostics sized for a mesh.
     pub fn zeros(mesh: &Mesh) -> Self {
-        let (nc, ne, nv) = (mesh.n_cells(), mesh.n_edges(), mesh.n_vertices());
+        Self::with_lanes(mesh, 1)
+    }
+
+    /// Zero-initialized diagnostics of `k` lanes per entity.
+    pub(crate) fn with_lanes(mesh: &Mesh, k: usize) -> Self {
+        let (nc, ne, nv) = (
+            mesh.n_cells() * k,
+            mesh.n_edges() * k,
+            mesh.n_vertices() * k,
+        );
         Diagnostics {
             h_edge: vec![0.0; ne],
             ke: vec![0.0; nc],
@@ -118,6 +184,26 @@ impl Diagnostics {
             v: vec![0.0; ne],
             d2fdx2_cell1: vec![0.0; ne],
             d2fdx2_cell2: vec![0.0; ne],
+        }
+    }
+
+    /// Copy lane `l` of `k`-lane diagnostics into single-lane `out`.
+    pub(crate) fn extract_layer_into(&self, k: usize, l: usize, out: &mut Diagnostics) {
+        let pairs = [
+            (&self.h_edge, &mut out.h_edge),
+            (&self.ke, &mut out.ke),
+            (&self.vorticity, &mut out.vorticity),
+            (&self.vorticity_cell, &mut out.vorticity_cell),
+            (&self.divergence, &mut out.divergence),
+            (&self.pv_vertex, &mut out.pv_vertex),
+            (&self.pv_cell, &mut out.pv_cell),
+            (&self.pv_edge, &mut out.pv_edge),
+            (&self.v, &mut out.v),
+            (&self.d2fdx2_cell1, &mut out.d2fdx2_cell1),
+            (&self.d2fdx2_cell2, &mut out.d2fdx2_cell2),
+        ];
+        for (src, dst) in pairs {
+            take_lane(src, k, l, dst);
         }
     }
 }
@@ -136,30 +222,22 @@ pub struct Tendencies {
 impl Tendencies {
     /// Zero-initialized tendencies sized for a mesh (no tracers).
     pub fn zeros(mesh: &Mesh) -> Self {
-        Self::zeros_with_tracers(mesh, 0)
+        Self::with_lanes(mesh, 1, 0)
     }
 
-    /// Zero-initialized tendencies with `n_tracers` tracer fields.
-    pub fn zeros_with_tracers(mesh: &Mesh, n_tracers: usize) -> Self {
+    /// Zero-initialized tendencies of `k` lanes per entity.
+    pub(crate) fn with_lanes(mesh: &Mesh, k: usize, n_tracers: usize) -> Self {
         Tendencies {
-            tend_h: vec![0.0; mesh.n_cells()],
-            tend_u: vec![0.0; mesh.n_edges()],
-            tend_tracers: vec![vec![0.0; mesh.n_cells()]; n_tracers],
-        }
-    }
-
-    /// Grow/shrink the tracer block to `n` zeroed fields of `n_cells`.
-    pub fn resize_tracers(&mut self, n_cells: usize, n: usize) {
-        self.tend_tracers.resize_with(n, || vec![0.0; n_cells]);
-        for t in &mut self.tend_tracers {
-            t.resize(n_cells, 0.0);
+            tend_h: vec![0.0; mesh.n_cells() * k],
+            tend_u: vec![0.0; mesh.n_edges() * k],
+            tend_tracers: vec![vec![0.0; mesh.n_cells() * k]; n_tracers],
         }
     }
 }
 
 /// Output of `mpas_reconstruct`: Cartesian and zonal/meridional velocity at
 /// cell centers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Reconstruction {
     /// Cartesian x component at cells.
     pub ux: Vec<f64>,

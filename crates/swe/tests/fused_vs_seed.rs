@@ -10,7 +10,7 @@
 //!    (A1, A2, B1, B2, C1 family, D1/D2, G).
 //! 2. **Range splitting** — computing the same output as two disjoint
 //!    chunks split at an arbitrary `mid` (both the even `n/2` split and the
-//!    uneven `HybridModel`-style offset split) is bit-identical to the full
+//!    uneven hybrid-team-style offset split) is bit-identical to the full
 //!    range. This is the property the two-device executor relies on.
 
 use mpas_swe::coeffs::KernelCoeffs;

@@ -8,6 +8,22 @@ use mpas_swe::kernels::{ops, scatter};
 use mpas_swe::state::Diagnostics;
 use std::sync::OnceLock;
 
+/// The seed-kernel (`Scalar`) diagnostics of `(h, u)`, through the model's
+/// own kernel sequence.
+fn seed_diagnostics(
+    m: &mpas_mesh::Mesh,
+    config: &ModelConfig,
+    h: &[f64],
+    u: &[f64],
+    f_v: &[f64],
+    dt: f64,
+    d: &mut Diagnostics,
+) {
+    let kc = mpas_swe::KernelCoeffs::build(m, config);
+    let backend = mpas_swe::KernelBackend::Scalar;
+    mpas_swe::kernels::compute_solve_diagnostics_backend(backend, m, config, &kc, h, u, f_v, dt, d);
+}
+
 fn mesh() -> &'static mpas_mesh::Mesh {
     static MESH: OnceLock<mpas_mesh::Mesh> = OnceLock::new();
     MESH.get_or_init(|| mpas_mesh::generate(2, 0))
@@ -68,7 +84,7 @@ proptest! {
             .map(|v| 2.0 * mpas_geom::OMEGA * m.x_vertex[v].z)
             .collect();
         let mut d = Diagnostics::zeros(m);
-        mpas_swe::kernels::compute_solve_diagnostics(m, &config, &h, &u, &f_v, 60.0, &mut d);
+        seed_diagnostics(m, &config, &h, &u, &f_v, 60.0, &mut d);
         let ne = m.n_edges();
         let mid = ((ne as f64 * frac) as usize).clamp(1, ne - 1);
         let mut full = vec![0.0; ne];

@@ -10,14 +10,9 @@
 //! * layer 0 of a `k`-layer run hash-matches the flat fused run for
 //!   `k ∈ {1, 4, 7}`;
 //! * every deeper layer matches a flat fused run started from that layer's
-//!   perturbed initial state;
-//! * cache-block tiling is a pure traversal-order choice: any block size
-//!   produces bits identical to the untiled sweep, and the tiling visits
-//!   every index exactly once (property-tested).
+//!   perturbed initial state.
 
-use mpas_check::prelude::*;
-use mpas_swe::kernels::simd::block_ranges;
-use mpas_swe::layers::{layer_h_scale, LayeredModel};
+use mpas_swe::layers::layer_h_scale;
 use mpas_swe::validation::CATALOG;
 use mpas_swe::{KernelBackend, ModelConfig, ShallowWaterModel};
 use std::sync::Arc;
@@ -85,7 +80,7 @@ fn layered_runs_match_fused_bitwise_per_layer_across_k() {
                 n_layers: k,
                 ..sc.config()
             };
-            let mut layered = LayeredModel::new(mesh.clone(), cfg, sc.test_case, None);
+            let mut layered = ShallowWaterModel::new(mesh.clone(), cfg, sc.test_case, None);
             layered.run_steps(STEPS);
             let l0 = layered.extract_layer(0);
             assert_eq!(
@@ -113,7 +108,7 @@ fn deeper_layers_match_flat_fused_runs_from_their_scaled_states() {
         n_tracers: 1,
         ..Default::default()
     };
-    let mut layered = LayeredModel::new(mesh.clone(), cfg, tc, None);
+    let mut layered = ShallowWaterModel::new(mesh.clone(), cfg, tc, None);
     let dt = layered.dt;
     layered.run_steps(STEPS);
     for l in 1..k {
@@ -144,49 +139,5 @@ fn deeper_layers_match_flat_fused_runs_from_their_scaled_states() {
                 .collect::<Vec<_>>(),
             "layer {l} diverged from its flat fused twin"
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Tiling is exact: for any `n` and block size the emitted ranges
-    /// partition `0..n` — consecutive, disjoint, complete — so every cell
-    /// is visited exactly once no matter how the sweep is blocked.
-    #[test]
-    fn block_ranges_partition_the_index_space(n in 0usize..10_000, block in 1usize..2_048) {
-        let mut next = 0usize;
-        for r in block_ranges(n, block) {
-            prop_assert_eq!(r.start, next, "gap or overlap at {}", r.start);
-            prop_assert!(r.end > r.start, "empty block");
-            prop_assert!(r.end - r.start <= block, "oversized block");
-            next = r.end;
-        }
-        prop_assert_eq!(next, n, "tiling stopped short of n");
-    }
-
-    /// Block size is invisible in the bits: a layered run under any block
-    /// size equals the untiled (single-block) run exactly.
-    #[test]
-    fn any_block_size_matches_the_untiled_sweep_bitwise(
-        block in 1usize..4_096,
-        k in 1usize..5,
-        steps in 1usize..3,
-    ) {
-        let mesh = Arc::new(mpas_mesh::generate(2, 0));
-        let cfg = ModelConfig {
-            kernel_backend: KernelBackend::Simd,
-            n_layers: k,
-            ..Default::default()
-        };
-        let tc = mpas_swe::TestCase::Case5;
-        let mut untiled = LayeredModel::new(mesh.clone(), cfg, tc, None);
-        untiled.set_cell_block(usize::MAX);
-        untiled.run_steps(steps);
-        let mut tiled = LayeredModel::new(mesh.clone(), cfg, tc, None);
-        tiled.set_cell_block(block);
-        tiled.run_steps(steps);
-        prop_assert_eq!(untiled.state_hash(), tiled.state_hash(),
-            "block {} changed the bits", block);
     }
 }

@@ -6,6 +6,22 @@ use mpas_swe::config::ModelConfig;
 use mpas_swe::kernels::ops;
 use mpas_swe::state::Diagnostics;
 
+/// The seed-kernel (`Scalar`) diagnostics of `(h, u)`, through the model's
+/// own kernel sequence.
+fn seed_diagnostics(
+    m: &mpas_mesh::Mesh,
+    config: &ModelConfig,
+    h: &[f64],
+    u: &[f64],
+    f_v: &[f64],
+    dt: f64,
+    d: &mut Diagnostics,
+) {
+    let kc = mpas_swe::KernelCoeffs::build(m, config);
+    let backend = mpas_swe::KernelBackend::Scalar;
+    mpas_swe::kernels::compute_solve_diagnostics_backend(backend, m, config, &kc, h, u, f_v, dt, d);
+}
+
 fn mesh() -> mpas_mesh::Mesh {
     mpas_mesh::generate(3, 0)
 }
@@ -139,13 +155,13 @@ fn apvm_damps_pv_extremes() {
         .map(|v| 2.0 * mpas_geom::OMEGA * m.x_vertex[v].z)
         .collect();
     let mut d_on = Diagnostics::zeros(&m);
-    mpas_swe::kernels::compute_solve_diagnostics(&m, &config, &h, &u, &f_v, 600.0, &mut d_on);
+    seed_diagnostics(&m, &config, &h, &u, &f_v, 600.0, &mut d_on);
     let off = ModelConfig {
         apvm_factor: 0.0,
         ..config
     };
     let mut d_off = Diagnostics::zeros(&m);
-    mpas_swe::kernels::compute_solve_diagnostics(&m, &off, &h, &u, &f_v, 600.0, &mut d_off);
+    seed_diagnostics(&m, &off, &h, &u, &f_v, 600.0, &mut d_off);
     // Same centered part; the APVM correction is a small fraction of the
     // global PV magnitude (pointwise relative comparisons are meaningless
     // where f + ζ crosses zero near the equator).

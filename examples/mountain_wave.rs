@@ -8,8 +8,8 @@
 //! cargo run --release --example mountain_wave -- [days] [level]
 //! ```
 
-use mpas_repro::hybrid::{HybridModel, Platform};
-use mpas_repro::swe::{ModelConfig, ShallowWaterModel, TestCase};
+use mpas_repro::hybrid::{hybrid_weights, Platform};
+use mpas_repro::swe::{ModelConfig, ShallowWaterModel, Team, TestCase};
 use std::sync::Arc;
 
 fn main() {
@@ -23,7 +23,9 @@ fn main() {
     let tc = TestCase::Case5;
 
     let mut serial = ShallowWaterModel::new(mesh.clone(), cfg, tc, None);
-    let mut hybrid = HybridModel::new(mesh.clone(), cfg, tc, None, 2, 2, &Platform::paper_node());
+    let weights = hybrid_weights(&Platform::paper_node(), 2, 2);
+    let mut hybrid =
+        ShallowWaterModel::new(mesh.clone(), cfg, tc, None).with_team(Team::new(&weights), 2);
     let steps = serial.steps_for_days(days);
     println!(
         "running {steps} steps (dt = {:.0} s, {} cells) twice...",

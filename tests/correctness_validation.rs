@@ -6,9 +6,21 @@
 //! exact equality is achievable and asserted.)
 
 use mpas_repro::core::{run_distributed, DistributedConfig};
-use mpas_repro::hybrid::{HybridModel, ParallelModel, Platform};
-use mpas_repro::swe::{ModelConfig, ShallowWaterModel, TestCase};
+use mpas_repro::hybrid::{hybrid_weights, Platform};
+use mpas_repro::mesh::Mesh;
+use mpas_repro::swe::{ModelConfig, ShallowWaterModel, Team, TestCase};
 use std::sync::Arc;
+
+/// The model on an equal `threads`-part team (the threaded executor).
+fn threaded(
+    mesh: &Arc<Mesh>,
+    cfg: ModelConfig,
+    tc: TestCase,
+    dt: Option<f64>,
+    threads: usize,
+) -> ShallowWaterModel {
+    ShallowWaterModel::new(mesh.clone(), cfg, tc, dt).with_team(Team::equal(threads), threads)
+}
 
 fn all_test_cases() -> Vec<TestCase> {
     vec![
@@ -26,16 +38,10 @@ fn fig5_all_executors_agree_on_every_test_case() {
     let dt = ModelConfig::suggested_dt(&mesh);
     for tc in all_test_cases() {
         let mut serial = ShallowWaterModel::new(mesh.clone(), cfg, tc, Some(dt));
-        let mut threaded = ParallelModel::new(mesh.clone(), cfg, tc, Some(dt), 3);
-        let mut hybrid = HybridModel::new(
-            mesh.clone(),
-            cfg,
-            tc,
-            Some(dt),
-            2,
-            2,
-            &Platform::paper_node(),
-        );
+        let mut threaded = threaded(&mesh, cfg, tc, Some(dt), 3);
+        let weights = hybrid_weights(&Platform::paper_node(), 2, 2);
+        let mut hybrid = ShallowWaterModel::new(mesh.clone(), cfg, tc, Some(dt))
+            .with_team(Team::new(&weights), 2);
         serial.run_steps(3);
         threaded.run_steps(3);
         hybrid.run_steps(3);
@@ -91,7 +97,7 @@ fn high_order_h_edge_configuration_also_agrees_across_executors() {
     };
     let tc = TestCase::Case5;
     let mut serial = ShallowWaterModel::new(mesh.clone(), cfg, tc, None);
-    let mut threaded = ParallelModel::new(mesh.clone(), cfg, tc, None, 2);
+    let mut threaded = threaded(&mesh, cfg, tc, None, 2);
     serial.run_steps(2);
     threaded.run_steps(2);
     assert_eq!(serial.state.max_abs_diff(&threaded.state), 0.0);
@@ -107,7 +113,7 @@ fn del2_dissipation_configuration_agrees_and_damps() {
     let tc = TestCase::Case6;
     let mut with_nu = ShallowWaterModel::new(mesh.clone(), cfg, tc, None);
     let mut without = ShallowWaterModel::new(mesh.clone(), ModelConfig::default(), tc, None);
-    let mut threaded = ParallelModel::new(mesh.clone(), cfg, tc, None, 2);
+    let mut threaded = threaded(&mesh, cfg, tc, None, 2);
     with_nu.run_steps(10);
     without.run_steps(10);
     threaded.run_steps(10);

@@ -1,9 +1,11 @@
 //! Biharmonic (del4) hyperviscosity: scale selectivity and executor
 //! equivalence.
 
-use mpas_repro::hybrid::ParallelModel;
-use mpas_repro::swe::kernels::{compute_solve_diagnostics, compute_tend, ops};
-use mpas_repro::swe::{Diagnostics, ModelConfig, ShallowWaterModel, Tendencies, TestCase};
+use mpas_repro::swe::kernels::ops;
+use mpas_repro::swe::model::stage_tendencies;
+use mpas_repro::swe::{
+    KernelBackend, KernelCoeffs, ModelConfig, ShallowWaterModel, Team, TestCase,
+};
 use std::sync::Arc;
 
 #[test]
@@ -61,6 +63,7 @@ fn del4_dissipates_noise_energy() {
     let mesh = mpas_mesh::generate(3, 0);
     let config = ModelConfig {
         del4_viscosity: 1.0e15,
+        kernel_backend: KernelBackend::Scalar,
         ..Default::default()
     };
     let h = vec![5000.0; mesh.n_cells()];
@@ -69,10 +72,8 @@ fn del4_dissipates_noise_energy() {
         .collect();
     let b = vec![0.0; mesh.n_cells()];
     let f_v = vec![0.0; mesh.n_vertices()];
-    let mut diag = Diagnostics::zeros(&mesh);
-    compute_solve_diagnostics(&mesh, &config, &h, &u, &f_v, 60.0, &mut diag);
-    let mut tend = Tendencies::zeros(&mesh);
-    compute_tend(&mesh, &config, &h, &u, &b, &diag, &mut tend);
+    let kc = KernelCoeffs::build(&mesh, &config);
+    let (_, tend) = stage_tendencies(&mesh, &config, &kc, &h, &u, &b, &f_v, 60.0);
     // The del4 term must push u toward zero: u · tend_u < 0 overall.
     let power: f64 = (0..mesh.n_edges())
         .map(|e| u[e] * tend.tend_u[e] * mesh.dc_edge[e] * mesh.dv_edge[e])
@@ -89,7 +90,7 @@ fn del4_configuration_matches_across_executors() {
     };
     let tc = TestCase::Case6;
     let mut serial = ShallowWaterModel::new(mesh.clone(), cfg, tc, None);
-    let mut threaded = ParallelModel::new(mesh, cfg, tc, None, 3);
+    let mut threaded = ShallowWaterModel::new(mesh, cfg, tc, None).with_team(Team::equal(3), 3);
     serial.run_steps(5);
     threaded.run_steps(5);
     assert_eq!(serial.state.max_abs_diff(&threaded.state), 0.0);
